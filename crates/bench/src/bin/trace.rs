@@ -13,13 +13,17 @@
 //! self-sufficient), the value-flow phase's pruning counters, and the
 //! recorder's own recorded/dropped accounting.
 //!
-//! A second, parallel run per program (worker-pool width
-//! `fsam::thread_count()`, floored at 2 so the level-synchronous schedule
-//! is always exercised) feeds the `threads`, `par_value_flow_us`,
+//! A second run per program with the value-flow worker pool enabled
+//! (width `fsam::thread_count()`, floored at 2 so the pool is always
+//! exercised) feeds the `threads`, `par_value_flow_us`,
 //! `par_sparse_solve_us` and `speedup_vs_seq` columns; its events go
-//! through the same schema validation. The speedup is measured wall-clock
-//! over the two parallelized phases combined — on a single-core host it
-//! hovers at or below 1.0, and the column says so honestly.
+//! through the same schema validation. Only the value-flow phase differs
+//! between the two runs: the sparse solve is sequential in both, so its
+//! column measures run-to-run noise, and the pipeline asserts the two
+//! results are identical. The speedup is wall-clock over value-flow plus
+//! solve combined (the column set is pinned) — on a host with fewer cores
+//! than workers it hovers at or below 1.0, and the column says so
+//! honestly.
 //!
 //! `--validate` additionally round-trips every recorded event through the
 //! JSONL schema validator (`fsam_trace::schema`), which is what the CI
@@ -61,9 +65,9 @@ fn main() {
         let run = pipeline.run(PhaseConfig::full());
         let events = rec.events();
 
-        // The parallel companion run: own pipeline (so no stage cache
-        // blurs the timing), own recorder (so the par.* counters don't
-        // overwrite the sequential stream).
+        // The pooled companion run: own pipeline (so no stage cache blurs
+        // the timing), own recorder (so the par.* counters don't overwrite
+        // the sequential stream).
         let threads = fsam::thread_count().max(2);
         let par_rec = Arc::new(Recorder::new(CAPACITY));
         let par_run = Pipeline::for_module(&module)
@@ -71,8 +75,8 @@ fn main() {
             .with_threads(threads)
             .run(PhaseConfig::full());
         assert!(
-            run.result.points_to_eq(&par_run.result),
-            "{}: parallel fixpoint diverged from sequential",
+            run.result == par_run.result,
+            "{}: the solve result depends on the worker count",
             p.name()
         );
         let par_events = par_rec.events();

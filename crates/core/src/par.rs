@@ -1,19 +1,17 @@
-//! A shared, std-only worker pool for the parallel analysis phases.
+//! A std-only worker pool for the value-flow phase.
 //!
-//! The two dominant pipeline phases — the sparse solve and the value-flow
-//! analysis — fan their work out through this module: a fixed set of
-//! scoped worker threads draining a mutex-sharded work-stealing deque of
-//! task indices. Tasks are distributed round-robin across per-worker
-//! shards; a worker that exhausts its own shard steals from the back of
-//! its neighbours', so skewed task costs (one huge SCC level chunk, one
-//! hot points-to class) still balance.
+//! The value-flow analysis fans its per-object store × access loops out
+//! through this module: a fixed set of scoped worker threads draining a
+//! mutex-sharded work-stealing deque of task indices. Tasks are
+//! distributed round-robin across per-worker shards; a worker that
+//! exhausts its own shard steals from the back of its neighbours', so
+//! skewed task costs (one hot shared object) still balance. The sparse
+//! solve does not use the pool: its level-ordered schedule is sequential.
 //!
 //! Design constraints, in order:
 //!
 //! * **Determinism** — results are returned in task order, and nothing
-//!   about *which* worker ran a task may leak into them. Callers keep
-//!   per-worker scratch state (e.g. a thread-local [`fsam_pts::PtsPool`]
-//!   arena) and merge it deterministically afterwards.
+//!   about *which* worker ran a task may leak into them.
 //! * **No hangs on panic** — workers never block on each other: the deque
 //!   is drained until globally empty, with no barrier or condvar inside a
 //!   worker. A panicking task takes its worker down; the remaining workers
@@ -24,7 +22,8 @@
 //! The pool width comes from [`thread_count`]: the `FSAM_THREADS`
 //! environment variable when set, otherwise
 //! [`std::thread::available_parallelism`]. The pipeline exposes the same
-//! knob programmatically as [`Pipeline::with_threads`](crate::Pipeline::with_threads).
+//! knob programmatically as [`Pipeline::with_threads`](crate::Pipeline::with_threads),
+//! which overrides the environment.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,15 +40,6 @@ pub struct PoolStats {
     pub workers: usize,
     /// Tasks taken from a foreign shard.
     pub steals: u64,
-}
-
-impl PoolStats {
-    /// Accumulates another run's stats (worker count saturates at the
-    /// maximum, steals add up) — the solver runs the pool once per level.
-    pub fn absorb(&mut self, other: PoolStats) {
-        self.workers = self.workers.max(other.workers);
-        self.steals += other.steals;
-    }
 }
 
 /// The configured pool width: `FSAM_THREADS` when set to a positive
@@ -87,42 +77,11 @@ where
     R: Send,
     F: Fn(usize, usize, &T) -> R + Sync,
 {
-    let (results, _, stats) = run_with_workers(threads, tasks, |_| (), |w, (), i, t| f(w, i, t));
-    (results, stats)
-}
-
-/// Like [`run_tasks`], but each worker additionally owns a scratch state
-/// built by `init(worker_index)` and threaded through every task it runs;
-/// the states are returned in worker-index order so the caller can merge
-/// them deterministically.
-///
-/// This is the sparse solver's entry point: the scratch state is a
-/// thread-local [`fsam_pts::PtsPool`] arena, merged (and its handles
-/// remapped) into the global pool at the level barrier.
-pub fn run_with_workers<T, W, R, I, F>(
-    threads: usize,
-    tasks: &[T],
-    init: I,
-    f: F,
-) -> (Vec<R>, Vec<W>, PoolStats)
-where
-    T: Sync,
-    W: Send,
-    R: Send,
-    I: Fn(usize) -> W + Sync,
-    F: Fn(usize, &mut W, usize, &T) -> R + Sync,
-{
     if threads <= 1 || tasks.len() <= 1 {
         // The sequential path: inline, in order, on the calling thread.
-        let mut w = init(0);
-        let results = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(0, &mut w, i, t))
-            .collect();
+        let results = tasks.iter().enumerate().map(|(i, t)| f(0, i, t)).collect();
         return (
             results,
-            vec![w],
             PoolStats {
                 workers: 1,
                 steals: 0,
@@ -149,35 +108,30 @@ where
     // runs on one worker), so the locks never contend.
     let slots: Vec<Mutex<Option<R>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
 
-    let states = thread::scope(|s| {
+    thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let shards = &shards;
                 let steals = &steals;
                 let slots = &slots;
-                let init = &init;
                 let f = &f;
-                s.spawn(move || {
-                    let mut state = init(w);
-                    loop {
-                        // Own shard first (front: preserve distribution
-                        // order), then steal from the back of the others.
-                        let mut job = shards[w].lock().expect("shard poisoned").pop_front();
-                        if job.is_none() {
-                            for off in 1..workers {
-                                let victim = (w + off) % workers;
-                                job = shards[victim].lock().expect("shard poisoned").pop_back();
-                                if job.is_some() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
+                s.spawn(move || loop {
+                    // Own shard first (front: preserve distribution order),
+                    // then steal from the back of the others.
+                    let mut job = shards[w].lock().expect("shard poisoned").pop_front();
+                    if job.is_none() {
+                        for off in 1..workers {
+                            let victim = (w + off) % workers;
+                            job = shards[victim].lock().expect("shard poisoned").pop_back();
+                            if job.is_some() {
+                                steals.fetch_add(1, Ordering::Relaxed);
+                                break;
                             }
                         }
-                        let Some(i) = job else { break };
-                        let r = f(w, &mut state, i as usize, &tasks[i as usize]);
-                        *slots[i as usize].lock().expect("slot poisoned") = Some(r);
                     }
-                    state
+                    let Some(i) = job else { break };
+                    let r = f(w, i as usize, &tasks[i as usize]);
+                    *slots[i as usize].lock().expect("slot poisoned") = Some(r);
                 })
             })
             .collect();
@@ -185,18 +139,15 @@ where
         // (scope would otherwise panic with a generic message). Joining in
         // order cannot hang: workers only drain the deque — none of them
         // waits on a peer.
-        let mut states = Vec::with_capacity(workers);
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for h in handles {
-            match h.join() {
-                Ok(state) => states.push(state),
-                Err(p) => panic = panic.or(Some(p)),
+            if let Err(p) = h.join() {
+                panic = panic.or(Some(p));
             }
         }
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
-        states
     });
 
     let results = slots
@@ -209,7 +160,6 @@ where
         .collect();
     (
         results,
-        states,
         PoolStats {
             workers,
             steals: steals.load(Ordering::Relaxed),
@@ -349,29 +299,5 @@ mod tests {
         assert!(msg.contains("task 5 exploded"), "payload preserved: {msg}");
         // The surviving workers drained the rest of the queue.
         assert!(completed.load(Ordering::Relaxed) >= tasks.len() - 1 - 3);
-    }
-
-    /// Worker-local scratch state comes back in worker order and each
-    /// task's result can name the worker that ran it.
-    #[test]
-    fn worker_states_are_returned_for_deterministic_merge() {
-        let tasks: Vec<usize> = (0..40).collect();
-        let (results, states, stats) = run_with_workers(
-            3,
-            &tasks,
-            |w| (w, 0usize),
-            |w, state, _, &t| {
-                assert_eq!(state.0, w);
-                state.1 += 1;
-                (w, t)
-            },
-        );
-        assert_eq!(states.len(), stats.workers);
-        let per_worker_total: usize = states.iter().map(|s| s.1).sum();
-        assert_eq!(per_worker_total, tasks.len());
-        for (w, t) in results {
-            assert!(w < stats.workers);
-            assert!(t < 40);
-        }
     }
 }

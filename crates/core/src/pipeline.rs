@@ -227,10 +227,9 @@ pub struct Pipeline<'m> {
     lock: OnceLock<Stage<LockAnalysis>>,
     counts: StageCounters,
     trace: Arc<Recorder>,
-    /// Worker-pool width for the value-flow and sparse-solve phases.
-    /// Defaults to [`par::thread_count`] (the `FSAM_THREADS` override, or
-    /// the machine's available parallelism); `1` selects the exact
-    /// sequential code path.
+    /// Worker-pool width for the value-flow phase. Defaults to
+    /// [`par::thread_count`] (the `FSAM_THREADS` override, or the machine's
+    /// available parallelism); `1` selects the sequential code path.
     threads: usize,
 }
 
@@ -255,10 +254,12 @@ impl<'m> Pipeline<'m> {
         }
     }
 
-    /// Sets the worker-pool width for the value-flow and sparse-solve
-    /// phases. `1` (the floor — zero is clamped) runs the exact sequential
-    /// code path; any larger value runs the level-synchronous parallel
-    /// schedule, whose fixpoint is bit-identical to the sequential one.
+    /// Sets the worker-pool width for the value-flow phase, overriding
+    /// `FSAM_THREADS`. `1` (the floor — zero is clamped) runs the
+    /// sequential `valueflow::compute`; any larger value shards the
+    /// per-object store × access loops across the pool, with bit-identical
+    /// results. The sparse solve is sequential and ignores the width, so
+    /// the whole [`Fsam`] result is the same at every worker count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -558,14 +559,7 @@ impl<'m> Pipeline<'m> {
         times.value_flow = t0.elapsed();
 
         let t0 = Instant::now();
-        let result = solver::solve_par_traced(
-            self.module,
-            pre,
-            &svfg,
-            self.threads,
-            &self.trace,
-            run_span.id(),
-        );
+        let result = solver::solve_traced(self.module, pre, &svfg, &self.trace, run_span.id());
         times.sparse_solve = t0.elapsed();
 
         Fsam {

@@ -1,11 +1,14 @@
 //! An indexed min-priority worklist.
 //!
-//! The sparse solver assigns every worklist item a *static* topological
-//! priority (from the SCC condensation of its def-use graph, see
-//! [`fsam_mssa::topo`]) and always pops the pending item with the smallest
-//! priority. Definitions are then processed before their transitive uses
-//! whenever the graph is acyclic there, so a fact crosses each region once
-//! per fixpoint round instead of rippling in LIFO order.
+//! The sparse solvers assign every worklist item a *static* topological
+//! key from the SCC condensation of their def-use graph (see
+//! [`fsam_mssa::topo`]). The delta solver keys on SCC depth and drains one
+//! whole level per round ([`IndexedPriorityQueue::pop_level`]); the
+//! recompute oracle keys on the total priority order and pops one item at
+//! a time ([`IndexedPriorityQueue::pop`]). Either way definitions are
+//! processed before their transitive uses whenever the graph is acyclic,
+//! so a fact crosses each region once per fixpoint round instead of
+//! rippling in LIFO order.
 //!
 //! Priorities never change after construction, so no decrease-key is
 //! needed: a plain binary heap of `(priority, item)` pairs plus a dense
@@ -75,12 +78,11 @@ impl IndexedPriorityQueue {
     /// Pops *every* queued item sharing the current smallest priority,
     /// appending them to `out` in ascending id order (the heap's tie-break).
     ///
-    /// One call drains one level of the parallel solver's level-synchronous
-    /// schedule: when the queue is keyed on topological *levels* rather than
-    /// the total priority order, everything returned here is mutually
-    /// independent outside its own SCC and can be evaluated concurrently.
-    /// `out` is cleared first. Items pushed back while the batch is being
-    /// processed re-enter the queue for a later call.
+    /// One call is one round of the delta solver's level drain: with the
+    /// queue keyed on topological *levels* rather than the total priority
+    /// order, everything returned here is mutually independent outside its
+    /// own SCC. `out` is cleared first. Items pushed back while the batch
+    /// is being processed re-enter the queue for a later call.
     pub fn pop_level(&mut self, out: &mut Vec<usize>) {
         out.clear();
         let Some(&first) = self.heap.first() else {

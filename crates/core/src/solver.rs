@@ -29,14 +29,20 @@
 //! as pure recompute-and-replace — [`crate::recompute`] keeps that solver
 //! as the equivalence oracle.
 //!
-//! # Priority order
+//! # Level order
 //!
 //! The worklist is an [`IndexedPriorityQueue`](crate::queue) keyed on the
-//! topological position of each item's SCC in the condensation of the
-//! combined def-use graph ([`Svfg::solve_order`]): definitions are
-//! processed before their transitive uses wherever the graph is acyclic,
-//! so a fact crosses each region once per round instead of rippling in
-//! LIFO order.
+//! topological *depth* of each item's SCC in the condensation of the
+//! combined def-use graph ([`fsam_mssa::topo::TopoOrder::level`], via
+//! [`Svfg::solve_order`]). The solver drains it one level at a time
+//! ([`IndexedPriorityQueue::pop_level`]), visiting the level's items in
+//! ascending id order; items pushed meanwhile re-enter the queue for a
+//! later round. Definitions are processed before their transitive uses
+//! wherever the graph is acyclic, and because independent SCCs share a
+//! depth, a whole band of them drains together instead of one component
+//! at a time — on the suite this needs a fraction of the worklist items
+//! the total topological order needs. The schedule is sequential and has
+//! no knobs, so the result never depends on the pipeline's worker count.
 //!
 //! # Interned points-to store
 //!
@@ -46,30 +52,8 @@
 //! compacted down to the live sets when the solver finishes, so the final
 //! [`SparseResult::pts_bytes`] reflects the retained state while
 //! [`SolverStats::peak_pts_bytes`] records the in-flight peak.
-//!
-//! # Parallel solve
-//!
-//! [`solve_par`] runs the same fixpoint level-synchronously: the worklist
-//! is keyed on the topological *depth* of each item's SCC
-//! ([`fsam_mssa::topo::TopoOrder::level`]) instead of the total priority
-//! order, one [`IndexedPriorityQueue::pop_level`] drains everything at the
-//! current depth, and the batch's equations are *evaluated* concurrently
-//! against the frozen state on the worker pool ([`crate::par`]) — each
-//! worker interning into a thread-local [`PtsPool`] arena. The arenas are
-//! then merged (handles remapped) into the global pool, and the results
-//! *applied* sequentially in ascending item order by replaying the exact
-//! sequential mutation paths. A precomputed evaluation is only used when
-//! it provably matches what the inline visit would compute (pending-delta
-//! length unchanged, mode unchanged, and — for recomputes — no other
-//! batch member in the same SCC); otherwise the item falls back to the
-//! inline visit. Evaluation is pure and application is deterministic, so
-//! the fixpoint *and the statistics* are identical for every thread count
-//! ≥ 2, and identical in points-to content to the sequential solver —
-//! which [`crate::recompute`] referees as the (deliberately sequential)
-//! equivalence oracle.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use fsam_andersen::PreAnalysis;
 use fsam_ir::stmt::{StmtKind, Terminator};
@@ -78,7 +62,6 @@ use fsam_mssa::{NodeId as VfNodeId, NodeKind as VfNodeKind, Svfg};
 use fsam_pts::{MemId, PtsPool, PtsRef, PtsSet};
 use fsam_trace::{FieldValue, Recorder, SpanId};
 
-use crate::par;
 use crate::queue::IndexedPriorityQueue;
 
 /// Solver statistics.
@@ -378,60 +361,11 @@ pub fn solve_traced(
     result
 }
 
-/// Batches below this size are applied inline without touching the worker
-/// pool: spawning costs more than the work, and small levels dominate the
-/// tails of every program's level profile.
-const PAR_MIN_BATCH: usize = 24;
-
-/// Items per work-stealing task: amortizes queue traffic over a few
-/// evaluations while leaving enough tasks to rebalance skewed levels.
-const PAR_CHUNK: usize = 16;
-
-/// Runs the sparse solver with the level-synchronous parallel schedule on
-/// `threads` workers. Falls back to the exact sequential [`solve`] when
-/// `threads <= 1`. The fixpoint is identical to the sequential solver's
-/// (see [`SparseResult::points_to_eq`]); the full result including
-/// statistics is identical across all thread counts ≥ 2.
-pub fn solve_par(module: &Module, pre: &PreAnalysis, svfg: &Svfg, threads: usize) -> SparseResult {
-    if threads <= 1 {
-        return solve(module, pre, svfg);
-    }
-    Solver::with_schedule(module, pre, svfg, true)
-        .run_par(threads, PAR_MIN_BATCH)
-        .0
-}
-
-/// [`solve_par`] with tracing: exports the `solve.*` counters plus the
-/// parallel schedule's own (`par.workers`, `par.steals`, `par.levels`,
-/// `par.merge_us`, `par.max_level_width`). Explain-mode tracing needs the
-/// ordered propagation-event stream, so it routes to the sequential
-/// [`solve_traced`], as does `threads <= 1`.
-pub fn solve_par_traced(
-    module: &Module,
-    pre: &PreAnalysis,
-    svfg: &Svfg,
-    threads: usize,
-    rec: &Recorder,
-    parent: Option<SpanId>,
-) -> SparseResult {
-    if threads <= 1 || (rec.is_enabled() && rec.explain_enabled()) {
-        return solve_traced(module, pre, svfg, rec, parent);
-    }
-    if !rec.is_enabled() {
-        return solve_par(module, pre, svfg, threads);
-    }
-    let span = rec.span_under(parent, "solve");
-    let mut solver = Solver::with_schedule(module, pre, svfg, true);
-    solver.trace = Some(rec);
-    solver.trace_span = span.id();
-    let (result, ps) = solver.run_par(threads, PAR_MIN_BATCH);
-    export_solver_counters(&span, &result.stats);
-    span.counter("par.workers", ps.workers as u64);
-    span.counter("par.steals", ps.steals);
-    span.counter("par.levels", ps.levels);
-    span.counter("par.merge_us", ps.merge_us);
-    span.counter("par.max_level_width", ps.max_level_width);
-    result
+/// The sparse solve under its historical parallel entry point. The solve
+/// is sequential: `threads` is accepted for API compatibility and no
+/// longer affects the schedule or the result, which equals [`solve`]'s.
+pub fn solve_par(module: &Module, pre: &PreAnalysis, svfg: &Svfg, _threads: usize) -> SparseResult {
+    solve(module, pre, svfg)
 }
 
 /// Exports a [`SolverStats`] onto `span` with the canonical counter
@@ -503,78 +437,6 @@ enum StorePhase {
 const DELTA: u8 = 1;
 const RECOMP: u8 = 2;
 
-/// One batch item of a level, snapshotted before evaluation.
-#[derive(Copy, Clone)]
-struct EvalTask {
-    id: u32,
-    /// The item's mode at snapshot time (validated again at apply).
-    mode: u8,
-    /// Whether a recompute evaluation may be precomputed: the item's SCC
-    /// has no other member in this batch, so no same-level apply can write
-    /// its inputs. Items without a tracked SCC are never precomputed.
-    safe: bool,
-}
-
-/// How a recomputed set relates to the current one (the three-way split of
-/// the sequential recompute visits), with replacement sets interned in the
-/// evaluating worker's arena.
-enum RecompOut {
-    /// Unchanged: nothing to swap, nothing to forward.
-    Equal,
-    /// Monotone growth: swap the handle, forward `fresh` as a delta.
-    Grew { new: PtsRef, fresh: PtsSet },
-    /// Non-monotone replacement: swap the handle, cascade recomputes.
-    Replace { new: PtsRef },
-}
-
-/// A precomputed evaluation of one batch item.
-enum Eval {
-    /// No precomputation — apply runs the sequential visit inline.
-    Inline,
-    /// Delta visit of a variable: the grown set and the genuinely new bits,
-    /// valid while the pending delta still has `pend_len` members.
-    VarDelta {
-        grown: PtsRef,
-        fresh: PtsSet,
-        pend_len: usize,
-    },
-    /// Recompute visit of a variable.
-    VarRecomp(RecompOut),
-    /// Delta visit of a slot (strong/weak accounting happens at apply,
-    /// against the live pointer set).
-    SlotDelta {
-        grown: PtsRef,
-        fresh: PtsSet,
-        pend_len: usize,
-    },
-    /// Recompute visit of a slot, with its strong/weak classification.
-    SlotRecomp {
-        out: RecompOut,
-        strong: bool,
-        weak: bool,
-    },
-}
-
-/// Counters describing one parallel solve's schedule. Scheduling artifacts
-/// (wall-clock, steals) live here rather than in [`SolverStats`], which
-/// stays bit-identical across thread counts.
-#[derive(Clone, Copy, Debug, Default)]
-struct ParSolveStats {
-    /// Peak workers engaged by any level.
-    workers: usize,
-    /// Tasks taken from another worker's shard.
-    steals: u64,
-    /// Levels drained (worklist rounds).
-    levels: u64,
-    /// Time merging worker arenas into the global pool, in µs.
-    merge_us: u64,
-    /// Widest level encountered.
-    max_level_width: u64,
-    /// Precomputed evaluations discarded at apply time (mode flip or
-    /// pending growth after the snapshot) plus items planned inline.
-    stale_evals: u64,
-}
-
 struct Solver<'a> {
     module: &'a Module,
     pre: &'a PreAnalysis,
@@ -601,12 +463,6 @@ struct Solver<'a> {
     mode: Vec<u8>,
     queue: IndexedPriorityQueue,
     v_count: usize,
-    /// Condensed SCC per item (parallel schedule only; `u32::MAX` marks
-    /// items that must always be applied inline — variables without a def
-    /// site, whose evaluation inputs are not tracked by the SCC graph).
-    item_comp: Vec<u32>,
-    /// Number of condensed components (sizes `item_comp`'s stamp arrays).
-    comp_count: usize,
     stats: SolverStats,
     /// Tracing sink (None when disabled — the hot loop pays nothing).
     trace: Option<&'a Recorder>,
@@ -617,21 +473,9 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
+    /// Builds a solver whose worklist is keyed on the per-SCC depth of
+    /// every item (see the module docs).
     fn new(module: &'a Module, pre: &'a PreAnalysis, svfg: &'a Svfg) -> Self {
-        Self::with_schedule(module, pre, svfg, false)
-    }
-
-    /// Builds a solver whose worklist is keyed either on the total
-    /// topological priority order (`level_keyed == false`, the sequential
-    /// schedule) or on the coarser per-SCC depth (`level_keyed == true`,
-    /// the parallel level-synchronous schedule, where independent SCCs
-    /// share a key and drain together via [`IndexedPriorityQueue::pop_level`]).
-    fn with_schedule(
-        module: &'a Module,
-        pre: &'a PreAnalysis,
-        svfg: &'a Svfg,
-        level_keyed: bool,
-    ) -> Self {
         let s_count = module.stmt_count();
         let n_count = svfg.node_count();
         let v_count = module.var_count();
@@ -689,26 +533,10 @@ impl<'a> Solver<'a> {
         }
 
         let order = svfg.solve_order(module, pre.call_graph());
-        let (stmt_key, node_key): (&[u32], &[u32]) = if level_keyed {
-            (&order.stmt_level, &order.node_level)
-        } else {
-            (&order.stmt_prio, &order.node_prio)
-        };
-        let mut var_prio = vec![u32::MAX; v_count];
+        let mut var_level = vec![u32::MAX; v_count];
         for v in module.var_ids() {
             if let Some(d) = svfg.var_def(v) {
-                var_prio[v.index()] = stmt_key[d.index()];
-            }
-        }
-        let mut item_comp = vec![u32::MAX; v_count + k_count];
-        if level_keyed {
-            for v in module.var_ids() {
-                if let Some(d) = svfg.var_def(v) {
-                    item_comp[v.index()] = order.stmt_comp[d.index()];
-                }
-            }
-            for (k, &n) in slot_node.iter().enumerate() {
-                item_comp[v_count + k] = order.node_comp[n as usize];
+                var_level[v.index()] = order.stmt_level[d.index()];
             }
         }
 
@@ -732,32 +560,31 @@ impl<'a> Solver<'a> {
             mode: vec![0; v_count + k_count],
             queue: IndexedPriorityQueue::new(Vec::new()),
             v_count,
-            item_comp,
-            comp_count: order.comp_count,
             stats: SolverStats::default(),
             trace: None,
             trace_span: None,
             trace_explain: false,
         };
-        solver.build_sources(stmt_key, &mut var_prio);
+        solver.build_sources(&order.stmt_level, &mut var_level);
 
-        let mut prio = var_prio;
+        let mut level = var_level;
         for &n in &solver.slot_node {
-            prio.push(node_key[n as usize]);
+            level.push(order.node_level[n as usize]);
         }
-        for p in prio.iter_mut() {
-            if *p == u32::MAX {
-                *p = 0;
+        for l in level.iter_mut() {
+            if *l == u32::MAX {
+                *l = 0;
             }
         }
-        solver.queue = IndexedPriorityQueue::new(prio);
+        solver.queue = IndexedPriorityQueue::new(level);
         solver
     }
 
     /// Collects the complete source list and forward dependencies per
     /// variable. Binding a parameter at a call site also lowers the
-    /// parameter's priority to the site's (parameters have no def site).
-    fn build_sources(&mut self, stmt_prio: &[u32], var_prio: &mut [u32]) {
+    /// parameter's queue key (its level) to the site's (parameters have no
+    /// def site).
+    fn build_sources(&mut self, stmt_key: &[u32], var_key: &mut [u32]) {
         let module = self.module;
         let pre = self.pre;
         let cg = pre.call_graph();
@@ -807,7 +634,7 @@ impl<'a> Solver<'a> {
                         for (&a, &p) in args.iter().zip(params.iter()) {
                             self.var_sources[p.index()].push(VarSource::Var(a));
                             self.var_deps[a.index()].push(VarDep::Flow(p));
-                            var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
+                            var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                         if let Some(d) = dst {
                             if !module.func(callee).is_external {
@@ -832,7 +659,7 @@ impl<'a> Solver<'a> {
                         if let (Some(&a), Some(&p)) = (arg.as_ref(), params.first()) {
                             self.var_sources[p.index()].push(VarSource::Var(a));
                             self.var_deps[a.index()].push(VarDep::Flow(p));
-                            var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
+                            var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                     }
                 }
@@ -1382,16 +1209,14 @@ impl<'a> Solver<'a> {
         self.forward_delta(k, &fresh);
     }
 
-    /// Evaluates slot `k`'s full equation against the current state without
-    /// mutating anything. Returns the output set plus whether the equation
-    /// was a strong or weak update (counted by the caller — the parallel
-    /// path evaluates on worker threads and folds statistics in at apply).
-    fn eval_slot(&self, k: usize) -> (PtsSet, bool, bool) {
+    /// Recompute visit of a slot: re-evaluate its equation from full
+    /// inputs and replace the output.
+    fn recompute_slot(&mut self, k: usize) {
         let n = self.slot_node[k] as usize;
         let o = self.slot_obj[k];
-        match self.slot_kind[k] {
-            SlotKind::Merge => (self.pt_in(n, o), false, false),
-            SlotKind::Store { ptr, val, .. } => {
+        let out = match self.slot_kind[k] {
+            SlotKind::Merge => self.pt_in(n, o),
+            SlotKind::Store { ptr, val } => {
                 let (written, strong) = {
                     let ptr_set = self.pool.get(self.pt_vars[ptr.index()]);
                     (
@@ -1403,32 +1228,18 @@ impl<'a> Solver<'a> {
                 };
                 if written && strong {
                     // kill(s, p) = {o}: the old contents die.
-                    (
-                        self.pool.get(self.pt_vars[val.index()]).clone(),
-                        true,
-                        false,
-                    )
+                    self.stats.strong_updates += 1;
+                    self.pool.get(self.pt_vars[val.index()]).clone()
                 } else {
                     let mut out = self.pt_in(n, o);
                     if written {
+                        self.stats.weak_updates += 1;
                         out.union_in_place(self.pool.get(self.pt_vars[val.index()]));
                     }
-                    (out, false, written)
+                    out
                 }
             }
-        }
-    }
-
-    /// Recompute visit of a slot: re-evaluate its equation from full
-    /// inputs and replace the output.
-    fn recompute_slot(&mut self, k: usize) {
-        let (out, strong, weak) = self.eval_slot(k);
-        if strong {
-            self.stats.strong_updates += 1;
-        }
-        if weak {
-            self.stats.weak_updates += 1;
-        }
+        };
         if self.trace_explain {
             self.trace_slot_inputs(k);
         }
@@ -1598,15 +1409,7 @@ impl<'a> Solver<'a> {
         50_000usize.saturating_mul(self.module.stmt_count() + self.svfg.node_count() + 64)
     }
 
-    fn bump_processed(&mut self, limit: usize) {
-        self.stats.processed += 1;
-        assert!(
-            self.stats.processed <= limit,
-            "sparse solver failed to converge after {limit} items"
-        );
-    }
-
-    /// One inline worklist visit of `id` in (already-taken) mode `m`.
+    /// One worklist visit of `id` in (already-taken) mode `m`.
     fn visit(&mut self, id: usize, m: u8) {
         if id < self.v_count {
             let v = VarId::from_usize(id);
@@ -1631,305 +1434,28 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// The fixpoint loop (see the module docs): pop one topological level
+    /// at a time and visit its items in ascending id order.
     fn run(mut self) -> SparseResult {
         self.seed();
         let limit = self.item_limit();
-        while let Some(id) = self.queue.pop() {
-            let m = std::mem::replace(&mut self.mode[id], 0);
-            self.bump_processed(limit);
-            self.visit(id, m);
+        let mut batch: Vec<usize> = Vec::new();
+        while !self.queue.is_empty() {
+            self.queue.pop_level(&mut batch);
+            for &id in &batch {
+                let m = std::mem::replace(&mut self.mode[id], 0);
+                self.stats.processed += 1;
+                assert!(
+                    self.stats.processed <= limit,
+                    "sparse solver failed to converge after {limit} items"
+                );
+                self.visit(id, m);
+            }
         }
         self.finish()
     }
 
-    /// Level-synchronous parallel fixpoint (see the module docs): pop one
-    /// topological level at a time, evaluate its equations concurrently
-    /// against the frozen state, merge the worker arenas, and apply the
-    /// results sequentially in ascending item order. `min_batch` gates the
-    /// pool — smaller levels run fully inline (exposed so tests can force
-    /// the parallel path on tiny programs).
-    fn run_par(mut self, threads: usize, min_batch: usize) -> (SparseResult, ParSolveStats) {
-        debug_assert!(threads >= 2, "run_par needs a real pool; use run()");
-        debug_assert!(
-            !self.trace_explain,
-            "explain tracing needs the ordered sequential propagation stream"
-        );
-        self.seed();
-        let limit = self.item_limit();
-        let mut ps = ParSolveStats::default();
-        let mut batch: Vec<usize> = Vec::new();
-        // Round-stamped SCC occupancy: a recompute is only precomputable
-        // when its SCC has exactly one member in the batch (same-level items
-        // of one SCC may feed each other during apply).
-        let mut comp_seen = vec![0u32; self.comp_count.max(1)];
-        let mut comp_multi = vec![0u32; self.comp_count.max(1)];
-        let mut round = 0u32;
-        while !self.queue.is_empty() {
-            self.queue.pop_level(&mut batch);
-            round += 1;
-            ps.levels += 1;
-            ps.max_level_width = ps.max_level_width.max(batch.len() as u64);
-            if batch.len() < min_batch {
-                for &id in &batch {
-                    let m = std::mem::replace(&mut self.mode[id], 0);
-                    self.bump_processed(limit);
-                    self.visit(id, m);
-                }
-                continue;
-            }
-            for &id in &batch {
-                let c = self.item_comp[id];
-                if c != u32::MAX {
-                    let c = c as usize;
-                    if comp_seen[c] == round {
-                        comp_multi[c] = round;
-                    } else {
-                        comp_seen[c] = round;
-                    }
-                }
-            }
-            // Snapshot each item's mode and precompute eligibility before
-            // anything mutates: an apply earlier in the level can upgrade a
-            // later item's mode, which invalidates its evaluation.
-            let plan: Vec<EvalTask> = batch
-                .iter()
-                .map(|&id| {
-                    let c = self.item_comp[id];
-                    EvalTask {
-                        id: id as u32,
-                        mode: self.mode[id],
-                        safe: c != u32::MAX && comp_multi[c as usize] != round,
-                    }
-                })
-                .collect();
-            let chunks: Vec<&[EvalTask]> = plan.chunks(PAR_CHUNK).collect();
-            let solver = &self;
-            let (chunk_out, arenas, pool_stats) = par::run_with_workers(
-                threads,
-                &chunks,
-                |_| PtsPool::new(),
-                |w, arena, _, chunk| {
-                    chunk
-                        .iter()
-                        .map(|t| (w, solver.eval_item(t, arena)))
-                        .collect::<Vec<(usize, Eval)>>()
-                },
-            );
-            ps.workers = ps.workers.max(pool_stats.workers);
-            ps.steals += pool_stats.steals;
-            let merge_start = Instant::now();
-            let remaps: Vec<Vec<PtsRef>> =
-                arenas.iter().map(|a| self.pool.merge_remap(a)).collect();
-            ps.merge_us += merge_start.elapsed().as_micros() as u64;
-            for ((w, ev), &id) in chunk_out.into_iter().flatten().zip(batch.iter()) {
-                self.apply(id, w, ev, &remaps, limit, &mut ps);
-            }
-        }
-        ps.workers = ps.workers.max(1);
-        (self.finish(), ps)
-    }
-
-    /// Evaluates one batch item against the frozen pre-level state, interning
-    /// any derived set into the worker's arena. Pure with respect to the
-    /// solver: multiple workers share `&self`.
-    fn eval_item(&self, t: &EvalTask, arena: &mut PtsPool) -> Eval {
-        let id = t.id as usize;
-        if id < self.v_count {
-            if t.mode == RECOMP {
-                if !t.safe {
-                    return Eval::Inline;
-                }
-                let new = self.eval_var(VarId::from_usize(id));
-                Eval::VarRecomp(self.relate(self.pt_vars[id], new, arena))
-            } else {
-                let pending = &self.pending_var[id];
-                let cur = self.pool.get(self.pt_vars[id]);
-                let fresh = pending.difference(cur);
-                let grown = if fresh.is_empty() {
-                    PtsRef::EMPTY // unused: nothing to swap in
-                } else {
-                    let mut grown = cur.clone();
-                    grown.union_in_place(&fresh);
-                    arena.intern(grown)
-                };
-                Eval::VarDelta {
-                    grown,
-                    fresh,
-                    pend_len: pending.len(),
-                }
-            }
-        } else {
-            let k = id - self.v_count;
-            if t.mode == RECOMP {
-                if !t.safe {
-                    return Eval::Inline;
-                }
-                let (new, strong, weak) = self.eval_slot(k);
-                Eval::SlotRecomp {
-                    out: self.relate(self.slot_out[k], new, arena),
-                    strong,
-                    weak,
-                }
-            } else {
-                let pending = &self.pending_slot[k];
-                let cur = self.pool.get(self.slot_out[k]);
-                let fresh = pending.difference(cur);
-                let grown = if fresh.is_empty() {
-                    PtsRef::EMPTY
-                } else {
-                    let mut grown = cur.clone();
-                    grown.union_in_place(&fresh);
-                    arena.intern(grown)
-                };
-                Eval::SlotDelta {
-                    grown,
-                    fresh,
-                    pend_len: pending.len(),
-                }
-            }
-        }
-    }
-
-    /// Classifies a recomputed set against the current one — the same
-    /// three-way split [`Solver::recompute_var`] / [`Solver::replace_slot`]
-    /// make inline — interning the replacement into the worker arena.
-    fn relate(&self, cur_ref: PtsRef, new: PtsSet, arena: &mut PtsPool) -> RecompOut {
-        let cur = self.pool.get(cur_ref);
-        if *cur == new {
-            return RecompOut::Equal;
-        }
-        if cur.is_subset(&new) {
-            let fresh = new.difference(cur);
-            RecompOut::Grew {
-                new: arena.intern(new),
-                fresh,
-            }
-        } else {
-            RecompOut::Replace {
-                new: arena.intern(new),
-            }
-        }
-    }
-
-    /// Applies one batch item sequentially. Uses the precomputed evaluation
-    /// only when it still provably matches what the inline visit would do
-    /// (same mode as at snapshot, same pending length for deltas); anything
-    /// stale falls back to [`Solver::visit`], which recomputes live.
-    fn apply(
-        &mut self,
-        id: usize,
-        w: usize,
-        ev: Eval,
-        remaps: &[Vec<PtsRef>],
-        limit: usize,
-        ps: &mut ParSolveStats,
-    ) {
-        let m = std::mem::replace(&mut self.mode[id], 0);
-        self.bump_processed(limit);
-        match ev {
-            Eval::VarDelta {
-                grown,
-                fresh,
-                pend_len,
-            } if m != RECOMP => {
-                self.stats.delta_items += 1;
-                let v = VarId::from_usize(id);
-                if self.pending_var[id].len() != pend_len {
-                    // A same-level producer extended the delta after the
-                    // snapshot (pending sets only grow between visits, so an
-                    // unchanged length means an unchanged set).
-                    ps.stale_evals += 1;
-                    self.delta_var(v);
-                } else {
-                    self.pending_var[id] = PtsSet::new();
-                    if !fresh.is_empty() {
-                        self.pt_vars[id] = remaps[w][grown.index()];
-                        self.apply_var_growth(v, &fresh);
-                    }
-                }
-            }
-            Eval::VarRecomp(out) if m == RECOMP => {
-                self.stats.recompute_items += 1;
-                self.pending_var[id].clear();
-                let v = VarId::from_usize(id);
-                match out {
-                    RecompOut::Equal => {}
-                    RecompOut::Grew { new, fresh } => {
-                        self.pt_vars[id] = remaps[w][new.index()];
-                        self.apply_var_growth(v, &fresh);
-                    }
-                    RecompOut::Replace { new } => {
-                        self.pt_vars[id] = remaps[w][new.index()];
-                        self.cascade_var_recompute(v);
-                    }
-                }
-            }
-            Eval::SlotDelta {
-                grown,
-                fresh,
-                pend_len,
-            } if m != RECOMP => {
-                self.stats.delta_items += 1;
-                let k = id - self.v_count;
-                if self.pending_slot[k].len() != pend_len {
-                    ps.stale_evals += 1;
-                    self.delta_slot(k);
-                } else if pend_len > 0 {
-                    self.pending_slot[k] = PtsSet::new();
-                    // The strong/weak accounting reads the *live* pointer
-                    // set, exactly as the inline delta visit does.
-                    if let SlotKind::Store { ptr, .. } = self.slot_kind[k] {
-                        let ptr_set = self.pool.get(self.pt_vars[ptr.index()]);
-                        if ptr_set.contains(self.slot_obj[k]) {
-                            if ptr_set
-                                .as_singleton()
-                                .is_some_and(|s| self.pre.objects().is_singleton(s))
-                            {
-                                self.stats.strong_updates += 1;
-                            } else {
-                                self.stats.weak_updates += 1;
-                            }
-                        }
-                    }
-                    if !fresh.is_empty() {
-                        self.slot_out[k] = remaps[w][grown.index()];
-                        self.forward_delta(k, &fresh);
-                    }
-                }
-            }
-            Eval::SlotRecomp { out, strong, weak } if m == RECOMP => {
-                self.stats.recompute_items += 1;
-                let k = id - self.v_count;
-                self.pending_slot[k].clear();
-                if strong {
-                    self.stats.strong_updates += 1;
-                }
-                if weak {
-                    self.stats.weak_updates += 1;
-                }
-                match out {
-                    RecompOut::Equal => {}
-                    RecompOut::Grew { new, fresh } => {
-                        self.slot_out[k] = remaps[w][new.index()];
-                        self.forward_delta(k, &fresh);
-                    }
-                    RecompOut::Replace { new } => {
-                        self.slot_out[k] = remaps[w][new.index()];
-                        self.forward_recompute(k);
-                    }
-                }
-            }
-            // Eval::Inline, or the item's mode changed after the snapshot
-            // (a delta can be upgraded to a recompute by an earlier apply).
-            _ => {
-                ps.stale_evals += 1;
-                self.visit(id, m);
-            }
-        }
-    }
-
-    /// Final statistics, trace counters, and pool compaction — the shared
-    /// tail of [`Solver::run`] and [`Solver::run_par`].
+    /// Final statistics, trace counters, and pool compaction.
     fn finish(mut self) -> SparseResult {
         self.stats.var_pts_entries = self.pt_vars.iter().map(|&r| self.pool.len_of(r)).sum();
         self.stats.def_pts_entries = self.slot_out.iter().map(|&r| self.pool.len_of(r)).sum();
@@ -2012,15 +1538,6 @@ mod tests {
         (pre, svfg)
     }
 
-    /// Runs the parallel schedule with `min_batch == 2` so even small
-    /// levels take the eval/merge/apply path (the production threshold
-    /// would evaluate them inline and the test would prove nothing).
-    fn run_par(m: &Module, pre: &PreAnalysis, svfg: &Svfg, threads: usize) -> SparseResult {
-        Solver::with_schedule(m, pre, svfg, true)
-            .run_par(threads, 2)
-            .0
-    }
-
     /// Handwritten stress programs: strong/weak updates, a loop-carried
     /// memory phi (an SCC wider than one statement), recursion (recompute
     /// cascades), and a fork whose callee interferes with main.
@@ -2067,8 +1584,7 @@ mod tests {
         }
         "#,
         // Loop-carried memory phi: the header SCC has several members, so
-        // the level schedule must keep its items on the sequential path
-        // (multi-member SCC evals are unsafe to precompute).
+        // one level holds items that feed each other within the round.
         r#"
         global cell
         global start
@@ -2148,90 +1664,39 @@ mod tests {
         "#,
     ];
 
+    /// The level-ordered delta solver reaches the recompute oracle's
+    /// fixpoint, with the same entry counts.
     #[test]
-    fn parallel_fixpoint_matches_sequential_on_handwritten_programs() {
+    fn level_drain_matches_recompute_oracle_on_handwritten_programs() {
         for (i, src) in PROGRAMS.iter().enumerate() {
             let m = parse_module(src).unwrap();
             let (pre, svfg) = inputs(&m);
-            let seq = solve(&m, &pre, &svfg);
-            for threads in [2, 3, 8] {
-                let par = run_par(&m, &pre, &svfg, threads);
-                assert!(
-                    seq.points_to_eq(&par),
-                    "program {i}: fixpoint diverged at {threads} threads"
-                );
-                assert_eq!(
-                    seq.stats.var_pts_entries, par.stats.var_pts_entries,
-                    "program {i}: var entries diverged at {threads} threads"
-                );
-                assert_eq!(
-                    seq.stats.def_pts_entries, par.stats.def_pts_entries,
-                    "program {i}: def entries diverged at {threads} threads"
-                );
-                assert_eq!(
-                    seq.stats.strong_updates, par.stats.strong_updates,
-                    "program {i}: strong updates diverged at {threads} threads"
-                );
-            }
+            let delta = solve(&m, &pre, &svfg);
+            let oracle = crate::recompute::solve_recompute(&m, &pre, &svfg);
+            assert!(
+                delta.points_to_eq(&oracle),
+                "program {i}: fixpoint diverged"
+            );
+            assert_eq!(
+                delta.stats.var_pts_entries, oracle.stats.var_pts_entries,
+                "program {i}: var entries diverged"
+            );
+            assert_eq!(
+                delta.stats.def_pts_entries, oracle.stats.def_pts_entries,
+                "program {i}: def entries diverged"
+            );
         }
     }
 
+    /// `solve_par` ignores its worker count: every width is [`solve`], bit
+    /// for bit.
     #[test]
-    fn parallel_fixpoint_matches_sequential_on_suite_programs() {
-        for p in [
-            fsam_suite::Program::X264,
-            fsam_suite::Program::Raytrace,
-            fsam_suite::Program::Kmeans,
-        ] {
-            let m = p.generate(fsam_suite::Scale::SMOKE);
-            let (pre, svfg) = inputs(&m);
-            let seq = solve(&m, &pre, &svfg);
-            for threads in [2, 8] {
-                let par = run_par(&m, &pre, &svfg, threads);
-                assert!(
-                    seq.points_to_eq(&par),
-                    "{p:?}: fixpoint diverged at {threads} threads"
-                );
-                assert_eq!(
-                    seq.stats.var_pts_entries, par.stats.var_pts_entries,
-                    "{p:?}"
-                );
-                assert_eq!(
-                    seq.stats.def_pts_entries, par.stats.def_pts_entries,
-                    "{p:?}"
-                );
-            }
-        }
-    }
-
-    /// The whole result — statistics included — is identical across thread
-    /// counts ≥ 2: eval is pure and apply replays one deterministic order.
-    #[test]
-    fn parallel_results_are_identical_across_thread_counts() {
-        let m = fsam_suite::Program::X264.generate(fsam_suite::Scale::SMOKE);
-        let (pre, svfg) = inputs(&m);
-        let two = run_par(&m, &pre, &svfg, 2);
-        let eight = run_par(&m, &pre, &svfg, 8);
-        assert_eq!(two, eight);
-    }
-
-    /// `solve_par` with one thread is the sequential solver, bit for bit.
-    #[test]
-    fn one_thread_is_the_exact_sequential_path() {
+    fn solve_par_is_solve_at_any_width() {
         let m = fsam_suite::Program::Kmeans.generate(fsam_suite::Scale::SMOKE);
         let (pre, svfg) = inputs(&m);
-        assert_eq!(solve(&m, &pre, &svfg), solve_par(&m, &pre, &svfg, 1));
-    }
-
-    /// The level schedule reports its shape: at least one level, and a
-    /// width bounded by the batch totals.
-    #[test]
-    fn parallel_schedule_reports_level_counters() {
-        let m = fsam_suite::Program::Raytrace.generate(fsam_suite::Scale::SMOKE);
-        let (pre, svfg) = inputs(&m);
-        let (_, ps) = Solver::with_schedule(&m, &pre, &svfg, true).run_par(2, 2);
-        assert!(ps.levels > 0, "no levels recorded");
-        assert!(ps.max_level_width > 0, "no width recorded");
-        assert!(ps.workers >= 1);
+        let seq = solve(&m, &pre, &svfg);
+        for threads in [1, 2, 8] {
+            assert_eq!(seq, solve_par(&m, &pre, &svfg, threads));
+        }
     }
 }

@@ -30,10 +30,10 @@ pub struct TopoOrder {
     /// Topological *depth* per vertex: sources sit at level 0 and every
     /// cross-component edge strictly increases the level. Unlike
     /// `priority` — a total order with one distinct value per component —
-    /// independent components share a level, which is exactly what a
-    /// level-synchronous parallel schedule runs concurrently: two vertices
-    /// on the same level are never connected by a def-use path outside
-    /// their own component.
+    /// independent components share a level, so the sparse solver drains a
+    /// whole band of them per worklist round: two vertices on the same
+    /// level are never connected by a def-use path outside their own
+    /// component.
     pub level: Vec<u32>,
     /// Number of components.
     pub comp_count: usize,
@@ -42,8 +42,8 @@ pub struct TopoOrder {
 }
 
 impl TopoOrder {
-    /// How many vertices sit at each level — the width profile a parallel
-    /// schedule has to work with (level `l`'s width bounds its concurrency).
+    /// How many vertices sit at each level — the width profile of the
+    /// solver's level drain (level `l`'s width bounds its batch size).
     pub fn level_widths(&self) -> Vec<u32> {
         let mut widths = vec![0u32; self.level_count];
         for &l in &self.level {
@@ -149,8 +149,9 @@ pub fn condense(adj: &[Vec<u32>]) -> TopoOrder {
     }
 }
 
-/// Topological priorities for the sparse solver's combined item space:
-/// one priority per statement and one per SVFG node, on a shared scale.
+/// Topological keys for the sparse solvers' combined item space: one per
+/// statement and one per SVFG node, on a shared scale. The delta solver
+/// drains the levels; the recompute oracle pops the total priority order.
 #[derive(Clone, Debug)]
 pub struct SolveOrder {
     /// Priority per [`StmtId`](fsam_ir::StmtId) index.
@@ -161,14 +162,6 @@ pub struct SolveOrder {
     pub stmt_level: Vec<u32>,
     /// Topological depth per SVFG node.
     pub node_level: Vec<u32>,
-    /// Condensed component id per statement.
-    pub stmt_comp: Vec<u32>,
-    /// Condensed component id per SVFG node.
-    pub node_comp: Vec<u32>,
-    /// Number of condensed components.
-    pub comp_count: usize,
-    /// Number of distinct levels.
-    pub level_count: usize,
 }
 
 impl Svfg {
@@ -261,19 +254,11 @@ impl Svfg {
         let node_level = (0..n_count)
             .map(|i| order.level[vx_node(i) as usize])
             .collect();
-        let stmt_comp = order.comp[..s_count].to_vec();
-        let node_comp = (0..n_count)
-            .map(|i| order.comp[vx_node(i) as usize])
-            .collect();
         SolveOrder {
             stmt_prio,
             node_prio,
             stmt_level,
             node_level,
-            stmt_comp,
-            node_comp,
-            comp_count: order.comp_count,
-            level_count: order.level_count,
         }
     }
 }

@@ -231,18 +231,6 @@ impl PtsPool {
         Ok(pool)
     }
 
-    /// Folds another pool into this one, returning the dense handle map:
-    /// `map[r.index()]` is where `src`'s handle `r` lives here.
-    ///
-    /// This is the parallel solver's arena-merge primitive. Workers intern
-    /// evaluation results into thread-local arenas; at each level barrier the
-    /// arenas are merged back so hash-consing stays canonical across threads
-    /// — two workers deriving the same set end up on one global handle, and
-    /// the per-worker handles are rewritten through the returned map.
-    pub fn merge_remap(&mut self, src: &PtsPool) -> Vec<PtsRef> {
-        src.sets.iter().map(|s| self.intern(s.clone())).collect()
-    }
-
     /// Heap bytes held by the pool: interned set storage, the arena vector,
     /// and the dedup index.
     pub fn heap_bytes(&self) -> usize {
@@ -361,30 +349,6 @@ mod tests {
         assert!(PoolRebuildError::FirstNotEmpty
             .to_string()
             .contains("empty"));
-    }
-
-    #[test]
-    fn merge_remap_deduplicates_and_maps_every_handle() {
-        let mut global = PtsPool::new();
-        let shared = global.intern([m(1), m(2)].into_iter().collect());
-
-        let mut arena = PtsPool::new();
-        let a_dup = arena.intern([m(2), m(1)].into_iter().collect()); // already global
-        let a_new = arena.intern([m(7)].into_iter().collect()); // genuinely new
-
-        let map = global.merge_remap(&arena);
-        assert_eq!(map.len(), arena.set_count());
-        assert_eq!(map[PtsRef::EMPTY.index()], PtsRef::EMPTY);
-        assert_eq!(
-            map[a_dup.index()],
-            shared,
-            "duplicate folds onto the canonical set"
-        );
-        let merged_new = map[a_new.index()];
-        assert_ne!(merged_new, shared);
-        assert_eq!(global.get(merged_new), arena.get(a_new));
-        // Only the genuinely new set grew the global arena.
-        assert_eq!(global.set_count(), 3);
     }
 
     #[test]

@@ -188,6 +188,7 @@ fn reload_swaps_snapshots_without_dropping_readers() {
     let addr = handle.addr();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reader_stop = Arc::clone(&stop);
+    let (answered_tx, answered_rx) = std::sync::mpsc::channel();
     let reader = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
         let mut served = 0u64;
@@ -200,10 +201,18 @@ fn reload_swaps_snapshots_without_dropping_readers() {
                 "impossible answer {names:?}"
             );
             served += 1;
+            if served == 1 {
+                answered_tx.send(()).unwrap();
+            }
         }
         served
     });
 
+    // Reload only once the reader has had an answer back: otherwise a
+    // slow-starting reader could see `stop` before sending anything.
+    answered_rx
+        .recv()
+        .expect("the reader thread died before its first answer");
     let (vars, objects) = client.reload(&db_b.to_bytes()).unwrap();
     assert_eq!(vars as usize, engine_b.db().var_names().len());
     assert_eq!(objects as usize, engine_b.db().obj_names().len());

@@ -1,21 +1,20 @@
-//! Parallel/sequential identity: the level-synchronous schedule must
-//! reproduce the sequential fixpoint on every suite program, for both MHP
-//! backends, at any worker count — and be deterministic run to run.
+//! Worker-count identity: the pipeline's result must not depend on how
+//! many workers the value-flow pool runs, on any suite program, for both
+//! MHP backends — and must be deterministic run to run.
 //!
-//! The sequential run pins `with_threads(1)` (the exact legacy code path);
-//! the parallel runs force at least two workers even on a single-core host
-//! (`FSAM_THREADS` in CI's par-smoke job raises this further). Points-to
-//! sets and entry counts must match across schedules; the *full* result —
-//! solver statistics included — must match across all parallel counts,
-//! because evaluation is pure and application replays one deterministic
-//! order regardless of how the levels were sharded.
+//! Only value-flow is parallel: its per-object store × access loops are
+//! sharded across the pool and folded back in object order. The sparse
+//! solve is sequential. So the *full* result — points-to sets, solver
+//! statistics, value-flow statistics and the frozen snapshot bytes — must
+//! be identical at 1, 2 and 8 workers. `FSAM_THREADS` in CI's pool-smoke
+//! job raises the default width the first test compares against.
 
 use fsam::{PhaseConfig, Pipeline};
 use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale};
 
-/// Every program × both MHP backends: the parallel fixpoint equals the
-/// sequential one, with identical entry counts and value-flow statistics.
+/// Every program × both MHP backends: the pooled run equals the inline
+/// one, statistics and all.
 #[test]
 fn parallel_matches_sequential_on_all_programs_and_backends() {
     for p in Program::all() {
@@ -25,23 +24,12 @@ fn parallel_matches_sequential_on_all_programs_and_backends() {
             let par = Pipeline::for_module(&module)
                 .with_threads(fsam::thread_count().max(2))
                 .run(config);
-            assert!(
-                seq.result.points_to_eq(&par.result),
-                "{}: parallel fixpoint diverged (interleaving={})",
+            assert_eq!(
+                seq.result,
+                par.result,
+                "{}: solve result diverged (interleaving={})",
                 p.name(),
                 config.interleaving
-            );
-            assert_eq!(
-                seq.result.stats.var_pts_entries,
-                par.result.stats.var_pts_entries,
-                "{}: var entry counts diverged",
-                p.name()
-            );
-            assert_eq!(
-                seq.result.stats.def_pts_entries,
-                par.result.stats.def_pts_entries,
-                "{}: def entry counts diverged",
-                p.name()
             );
             assert_eq!(
                 seq.vf_stats,
@@ -53,33 +41,42 @@ fn parallel_matches_sequential_on_all_programs_and_backends() {
     }
 }
 
-/// Thread-count independence: two and eight workers produce the *same*
-/// result, statistics and all.
+/// Worker-count independence: one, two and eight workers produce the
+/// *same* result, statistics and all, down to the snapshot bytes.
 #[test]
-fn two_and_eight_workers_are_bit_identical() {
+fn one_two_and_eight_workers_are_bit_identical() {
     for p in [Program::X264, Program::MtDaapd, Program::WordCount] {
         let module = p.generate(Scale::SMOKE);
-        let two = Pipeline::for_module(&module)
-            .with_threads(2)
-            .run(PhaseConfig::full());
-        let eight = Pipeline::for_module(&module)
-            .with_threads(8)
-            .run(PhaseConfig::full());
-        assert_eq!(
-            two.result,
-            eight.result,
-            "{}: results differ between 2 and 8 workers",
-            p.name()
-        );
-        assert_eq!(two.vf_stats, eight.vf_stats, "{}", p.name());
+        let run = |threads| {
+            Pipeline::for_module(&module)
+                .with_threads(threads)
+                .run(PhaseConfig::full())
+        };
+        let one = run(1);
+        let one_bytes = AnalysisDb::capture(&module, &one).to_bytes();
+        for threads in [2, 8] {
+            let other = run(threads);
+            assert_eq!(
+                one.result,
+                other.result,
+                "{}: results differ between 1 and {threads} workers",
+                p.name()
+            );
+            assert_eq!(one.vf_stats, other.vf_stats, "{}", p.name());
+            assert!(
+                one_bytes == AnalysisDb::capture(&module, &other).to_bytes(),
+                "{}: snapshot bytes differ between 1 and {threads} workers",
+                p.name()
+            );
+        }
     }
 }
 
 /// Run-to-run determinism at eight workers: the frozen [`AnalysisDb`]
 /// snapshot — points-to sets, definitions, interned pool, the lot — is
 /// byte-identical across two independent pipeline runs. Any unordered
-/// iteration smuggled into the parallel path (a `HashMap` walk feeding the
-/// merge, a schedule-dependent intern order leaking into the result)
+/// iteration smuggled into the pooled path (a `HashMap` walk feeding the
+/// value-flow merge, a schedule-dependent order leaking into the result)
 /// breaks this.
 #[test]
 fn eight_worker_runs_are_byte_deterministic() {

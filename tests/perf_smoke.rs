@@ -5,7 +5,7 @@
 //! generation and the solver schedule are both seeded — reruns are
 //! bit-identical). These bounds are the measured item counts at the smoke
 //! scale with ~50% headroom; a regression that reintroduces redundant
-//! recomputation (e.g. losing delta gating or the topological pop order)
+//! recomputation (e.g. losing delta gating or the topological level order)
 //! blows through them long before wall-clock noise would show it.
 //!
 //! CI runs this as a dedicated perf-smoke step. If an intentional solver
@@ -18,10 +18,12 @@ use fsam::{Fsam, PhaseConfig, Pipeline};
 use fsam_query::QueryEngine;
 use fsam_suite::{Program, Scale};
 
-/// Measured `stats.processed` per program at `Scale::SMOKE`, times 1.5.
-/// These are the **sequential** schedule's counts: the worklist test below
-/// pins the pipeline to one thread, because the level-synchronous parallel
-/// schedule batches differently (deterministically, but not identically).
+/// `stats.processed` per program at `Scale::SMOKE`, times 1.5, as measured
+/// under the solver's former total-priority pop order. The level drain that
+/// replaced it visits a few percent more items at this scale (x264 3545,
+/// raytrace 3150, bodytrack 290, word_count 260, each within its bound)
+/// and far fewer at larger ones (x264 @ 0.32: 75 k instead of 406 k). The
+/// solve is sequential, so the count is the same at every worker count.
 const BOUNDS: [(&str, usize); 10] = [
     ("word_count", 365),
     ("kmeans", 425),
@@ -57,9 +59,9 @@ fn worklist_items_stay_under_checked_in_bounds() {
 }
 
 /// The parallel pipeline must stay inside generous wall-clock ceilings on
-/// the four largest programs — a scheduling regression (a worker spinning,
-/// a level barrier that never releases, quadratic merge traffic) shows up
-/// here as a hang or a blowout long before the identity tests time out.
+/// the four largest programs — a scheduling regression (a pool worker
+/// spinning, a solve that stops converging) shows up here as a hang or a
+/// blowout long before the identity tests time out.
 #[test]
 fn parallel_pipeline_stays_under_wall_clock_ceilings() {
     let ceiling_ms: u128 = if cfg!(debug_assertions) {
@@ -89,10 +91,11 @@ fn parallel_pipeline_stays_under_wall_clock_ceilings() {
     }
 }
 
-/// With a real multicore (≥ 8 workers available), the two parallelized
-/// phases combined must beat the sequential pipeline by at least 2x on the
-/// two heaviest programs at the benchmark scale. Self-skips on smaller
-/// hosts — a 1-core CI container can only measure overhead, not speedup.
+/// With a real multicore (≥ 8 workers available), the value-flow phase —
+/// the one phase the worker pool still serves — must beat its sequential
+/// run by at least 2x on the two heaviest programs at the benchmark scale.
+/// Self-skips on smaller hosts — a 1-core CI container can only measure
+/// overhead, not speedup.
 #[test]
 fn parallel_speedup_reaches_two_x_on_eight_cores() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -111,13 +114,13 @@ fn parallel_speedup_reaches_two_x_on_eight_cores() {
             .with_threads(8)
             .run(PhaseConfig::full());
         assert!(seq.result.points_to_eq(&par.result), "{}", p.name());
-        seq_us += seq.times.value_flow.as_micros() + seq.times.sparse_solve.as_micros();
-        par_us += par.times.value_flow.as_micros() + par.times.sparse_solve.as_micros();
+        seq_us += seq.times.value_flow.as_micros();
+        par_us += par.times.value_flow.as_micros();
     }
     let speedup = seq_us as f64 / par_us.max(1) as f64;
     assert!(
         speedup >= 2.0,
-        "combined value-flow + solve speedup is {speedup:.2}x (seq {seq_us} us, par {par_us} us), need 2x"
+        "value-flow speedup is {speedup:.2}x (seq {seq_us} us, par {par_us} us), need 2x"
     );
 }
 
