@@ -15,9 +15,9 @@
 //! snapshot; `--swap` pushes an in-band `Reload` mid-load and requires
 //! zero failed or misanswered requests across the swap. One record per
 //! program captures aggregate throughput, the daemon's log₂ latency
-//! percentiles, the alias-cache tiers, and peak RSS.
+//! percentiles, and peak RSS.
 //!
-//! The >1 M cached-queries/s aggregate assertion runs only with ≥ 8
+//! The >1 M queries/s aggregate assertion runs only with ≥ 8
 //! clients on ≥ 8 hardware threads (`--no-assert` disables it); smaller
 //! machines still produce honest records — EXPERIMENTS.md quotes the
 //! single-core numbers from this container.
@@ -75,7 +75,7 @@ fn main() {
     if !no_assert && clients >= 8 && cores >= 8 {
         assert!(
             aggregate_qps > 1_000_000.0,
-            "mean cached-query throughput {aggregate_qps:.0}/s is under the 1M/s bar"
+            "mean query throughput {aggregate_qps:.0}/s is under the 1M/s bar"
         );
     } else if !no_assert {
         println!(
@@ -108,9 +108,6 @@ struct RunRecord {
     p50_us: u64,
     p95_us: u64,
     p99_us: u64,
-    alias_hits: u64,
-    alias_front_hits: u64,
-    alias_misses: u64,
     swaps: u64,
     errors: u64,
     peak_rss_kb: u64,
@@ -125,8 +122,7 @@ impl RunRecord {
                 "  {{\"program\": \"{}\", \"scale\": {}, \"clients\": {}, ",
                 "\"batch\": {}, \"queries\": {}, \"wall_ms\": {:.3}, ",
                 "\"qps\": {:.0}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, ",
-                "\"alias_hits\": {}, \"alias_front_hits\": {}, ",
-                "\"alias_misses\": {}, \"swaps\": {}, \"errors\": {}, ",
+                "\"swaps\": {}, \"errors\": {}, ",
                 "\"peak_rss_kb\": {}}}"
             ),
             self.program,
@@ -139,9 +135,6 @@ impl RunRecord {
             self.p50_us,
             self.p95_us,
             self.p99_us,
-            self.alias_hits,
-            self.alias_front_hits,
-            self.alias_misses,
             self.swaps,
             self.errors,
             self.peak_rss_kb,
@@ -172,12 +165,12 @@ fn run_one(
         Server::spawn(ServerState::new(QueryEngine::new(db)), "127.0.0.1:0").expect("bind");
 
     // The working set: a slab over live variables (plus MHP pairs for
-    // spice), precomputed once so the clients replay a cached workload —
+    // spice), precomputed once so the clients replay a fixed workload —
     // the steady state a resident daemon actually serves.
     let slab = build_slab(&module, batch.max(64) * 8);
     let expected = verify.then(|| reference.query_many(&slab));
-    // Warm the daemon's alias cache so the measured window is the cached
-    // regime the acceptance bar talks about.
+    // One pass before the measured window: it checks every answer once
+    // (with `--verify`) and opens the daemon's first connection outside it.
     {
         let mut warm = Client::connect(handle.addr()).expect("warm client");
         let answers = warm.query_many(&slab).expect("warm pass");
@@ -261,9 +254,6 @@ fn run_one(
         p50_us: get("p50_us"),
         p95_us: get("p95_us"),
         p99_us: get("p99_us"),
-        alias_hits: get("alias_hits"),
-        alias_front_hits: get("alias_front_hits"),
-        alias_misses: get("alias_misses"),
         swaps: get("swaps"),
         errors: handle.metrics().errors(),
         peak_rss_kb: peak_rss_kb().unwrap_or(0),

@@ -4,8 +4,8 @@
 //! `detect` entry points were retired in their favour), built on
 //! [`QueryEngine::query_many`]: every statement-level fact a client
 //! consumes — points-to sets of accessed pointers, pairwise
-//! may-happen-in-parallel — is fetched as one deduplicated batch of
-//! [`Query`]s instead of ad-hoc calls into the pipeline. The
+//! may-happen-in-parallel — is fetched as one batch of [`Query`]s
+//! instead of ad-hoc calls into the pipeline. The
 //! *instance-level* refinements (lockset filtering over
 //! context-sensitive thread instances) still consult the live [`Fsam`],
 //! via the core crate's public `racy_instances` / `instances_protected`

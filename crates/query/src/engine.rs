@@ -6,9 +6,9 @@
 //!
 //! * `points_to(v)` — the flow-sensitive points-to set of a top-level
 //!   variable (a pooled handle dereference, no computation),
-//! * `may_alias(p, q)` — set intersection, memoised in a sharded LRU
-//!   keyed on the *interned handle pair*: any two queries whose operands
-//!   hash-cons to the same pair of sets share one cache entry,
+//! * `may_alias(p, q)` — one intersection of two interned sets, after
+//!   two short-circuits (an empty handle answers false; equal handles,
+//!   which hash-consing makes equal sets, answer true),
 //! * `aliases_of(o)` — the precomputed reverse index object → variables,
 //! * `mhp(s1, s2)` — the statement-level may-happen-in-parallel relation,
 //!   answered from an [`MhpRelation`] factored out of the frozen
@@ -17,24 +17,19 @@
 //!   relation, no per-pair memoisation needed because no per-pair work
 //!   remains.
 //!
-//! Batched lookups go through [`QueryEngine::query_many`], which
-//! normalises and deduplicates the slab before touching the cache so a
-//! client slab with repeated pairs costs one probe per distinct query.
+//! Batched lookups go through [`QueryEngine::query_many`], one pass over
+//! the slab in request order. The engine keeps no answer cache: a direct
+//! intersection of two pooled sets is cheaper than a hash probe (DESIGN.md
+//! §1.2 has the measurement).
 //!
 //! [`MhpFacts`]: fsam_threads::MhpFacts
-
-use std::collections::HashMap;
 
 use fsam::Fsam;
 use fsam_ir::{Module, StmtId, VarId};
 use fsam_pts::{MemId, MemoryMeter, PtsRef, PtsSet};
 use fsam_threads::MhpRelation;
 
-use crate::cache::{CacheStats, PairCache};
 use crate::snapshot::{lookup_var, name_order, AnalysisDb};
-
-/// Total cached entries per relation (split across shards).
-const CACHE_CAPACITY: usize = 1 << 16;
 
 /// One demand-driven query against a solved analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,16 +45,6 @@ pub enum Query {
 }
 
 impl Query {
-    /// Canonical form: symmetric queries get their operands sorted so
-    /// `MayAlias(p, q)` and `MayAlias(q, p)` are one cache/dedup key.
-    fn normalize(self) -> Query {
-        match self {
-            Query::MayAlias(p, q) if q.raw() < p.raw() => Query::MayAlias(q, p),
-            Query::Mhp(a, b) if b.raw() < a.raw() => Query::Mhp(b, a),
-            other => other,
-        }
-    }
-
     /// Dense kind index, the slot this query occupies in [`op_mix`]:
     /// `PointsTo` 0, `MayAlias` 1, `AliasesOf` 2, `Mhp` 3.
     pub fn kind_index(self) -> usize {
@@ -94,6 +79,16 @@ pub enum Answer {
     Vars(Vec<VarId>),
 }
 
+/// The hit/miss counters [`QueryEngine::cache_stats`] reports, always
+/// zero: the engine keeps no cache.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from a cache.
+    pub hits: u64,
+    /// Lookups that fell through to the computation.
+    pub misses: u64,
+}
+
 /// A demand-driven query engine over a frozen [`AnalysisDb`] (see module
 /// docs).
 pub struct QueryEngine {
@@ -101,7 +96,6 @@ pub struct QueryEngine {
     /// Variable indices sorted by `(function, name)` for allocation-free
     /// binary-search lookup in [`var_named`](QueryEngine::var_named).
     name_order: Vec<u32>,
-    alias_cache: PairCache,
     /// The snapshot's MHP facts factored into region×region bitmatrix
     /// form; rebuilt from the serialized facts on load, never persisted.
     rel: MhpRelation,
@@ -117,7 +111,6 @@ impl QueryEngine {
         QueryEngine {
             db,
             name_order,
-            alias_cache: PairCache::new(CACHE_CAPACITY),
             rel,
         }
     }
@@ -141,9 +134,8 @@ impl QueryEngine {
         }
     }
 
-    /// Whether `p` and `q` may point to a common object. Memoised on the
-    /// interned handle pair — two variables with hash-consed-equal sets
-    /// share cache entries with every other variable holding those sets.
+    /// Whether `p` and `q` may point to a common object: one intersection
+    /// of their interned sets, short-circuited on empty or equal handles.
     pub fn may_alias(&self, p: VarId, q: VarId) -> bool {
         let handles = self.db.result().var_handles();
         let (rp, rq) = match (handles.get(p.index()), handles.get(q.index())) {
@@ -157,17 +149,8 @@ impl QueryEngine {
             // Hash-consing: identical handles are identical non-empty sets.
             return true;
         }
-        let key = {
-            let (a, b) = (rp.index() as u32, rq.index() as u32);
-            if a <= b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        };
         let pool = self.db.result().pool();
-        self.alias_cache
-            .get_or_insert_with(key, || pool.get(rp).intersects(pool.get(rq)))
+        pool.get(rp).intersects(pool.get(rq))
     }
 
     /// Variables whose points-to set contains `o`, ascending (the
@@ -239,62 +222,31 @@ impl QueryEngine {
     }
 
     /// Answers a slab of queries, one answer per query in request order.
-    /// The slab is normalised and deduplicated first, so repeated or
-    /// symmetric-duplicate queries are answered once and fanned back out.
     pub fn query_many(&self, queries: &[Query]) -> Vec<Answer> {
-        let mut answered: HashMap<Query, Answer> = HashMap::with_capacity(queries.len());
-        for q in queries {
-            let key = q.normalize();
-            if answered.contains_key(&key) {
-                continue;
-            }
-            let ans = match key {
+        queries
+            .iter()
+            .map(|&q| match q {
                 Query::PointsTo(v) => Answer::Objects(self.points_to(v).iter().collect()),
                 Query::MayAlias(p, q) => Answer::Bool(self.may_alias(p, q)),
                 Query::AliasesOf(o) => Answer::Vars(self.aliases_of(o).to_vec()),
                 Query::Mhp(a, b) => Answer::Bool(self.mhp(a, b)),
-            };
-            answered.insert(key, ans);
-        }
-        queries
-            .iter()
-            .map(|q| answered[&q.normalize()].clone())
+            })
             .collect()
     }
 
-    /// Hit/miss statistics of the alias cache (the engine's only pair
-    /// cache — MHP answers are unmemoised bit tests).
+    /// Always zero: the engine keeps no cache. This shim stays only because
+    /// the repository benchmark reads it, and goes when the benchmark next
+    /// changes.
     pub fn cache_stats(&self) -> CacheStats {
-        self.alias_cache.stats()
+        CacheStats::default()
     }
 
-    /// Hits answered by the alias cache's lock-free direct-mapped front
-    /// alone — a subset of [`cache_stats`](QueryEngine::cache_stats)'s
-    /// `hits`. Exported so out-of-process consumers (the `fsam-server`
-    /// daemon's `Stats` op) can report the fast path's share without
-    /// reaching into the cache.
-    pub fn front_hits(&self) -> u64 {
-        self.alias_cache.front_hits()
-    }
-
-    /// A formatted "query cache" section: the alias cache's hits (with the
-    /// lock-free front's share), misses, hit rate and residency, plus the
-    /// size of the factored MHP relation answering the pair queries that
-    /// used to occupy a second cache.
+    /// A formatted "query engine" section: the size of the factored MHP
+    /// relation and of the happens-before facts answering the pair queries.
     pub fn stats(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "query cache statistics");
-        let s = self.alias_cache.stats();
-        let _ = writeln!(
-            out,
-            "  alias {:>8} hits ({} front) / {:>8} misses  {:>5.1}% hit rate, {} entries",
-            s.hits,
-            self.alias_cache.front_hits(),
-            s.misses,
-            s.hit_rate() * 100.0,
-            s.entries
-        );
+        let _ = writeln!(out, "query engine statistics");
         let _ = writeln!(
             out,
             "  mhp   factored: {} stmts -> {} regions, {}/{} matrix bits set",
@@ -315,25 +267,18 @@ impl QueryEngine {
         out
     }
 
-    /// Exports the alias cache's counters (`query.alias.hits`,
-    /// `query.alias.front_hits`, `query.alias.misses`,
-    /// `query.alias.entries`) and the factored MHP relation's shape
-    /// (`mhp.regions`, `mhp.region_stmts`, `mhp.matrix_bits`,
-    /// `mhp.parallel_bits`) into a trace span, under the same stream the
-    /// pipeline and solver feed.
+    /// Exports the factored MHP relation's shape (`mhp.regions`,
+    /// `mhp.region_stmts`, `mhp.matrix_bits`, `mhp.parallel_bits`) and the
+    /// happens-before facts' (`hb.*`) into a trace span, under the same
+    /// stream the pipeline and solver feed.
     pub fn export_trace(&self, span: &fsam_trace::Span<'_>) {
-        let alias = self.cache_stats();
-        span.counter("query.alias.hits", alias.hits);
-        span.counter("query.alias.front_hits", self.alias_cache.front_hits());
-        span.counter("query.alias.misses", alias.misses);
-        span.counter("query.alias.entries", alias.entries as u64);
         self.rel.export_trace(span);
         self.db.hb().export_trace(span);
     }
 
     /// Approximate heap held by the engine, by category: the snapshot
-    /// tables, the name-lookup index, the alias cache, and the factored
-    /// MHP relation.
+    /// tables, the name-lookup index, the factored MHP relation and the
+    /// happens-before facts.
     pub fn memory(&self) -> MemoryMeter {
         let mut m = MemoryMeter::default();
         m.add("snapshot", self.db.heap_bytes());
@@ -341,7 +286,6 @@ impl QueryEngine {
             "name-index",
             self.name_order.capacity() * std::mem::size_of::<u32>(),
         );
-        m.add("query-cache", self.alias_cache.heap_bytes());
         m.add("mhp-relation", self.rel.heap_bytes());
         m.add("hb-facts", self.db.hb().heap_bytes());
         m
@@ -396,19 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_cache_hits_on_repeat_and_symmetry() {
-        let (m, _fsam, engine) = engine();
-        let r = engine.var_named("main", "r").unwrap();
-        let c = engine.var_named("main", "c").unwrap();
-        assert!(engine.may_alias(r, c)); // pt(r)={z}, pt(c)={y,z}
-        assert!(engine.may_alias(c, r)); // symmetric duplicate
-        let alias = engine.cache_stats();
-        assert_eq!(alias.misses, 1);
-        assert_eq!(alias.hits, 1);
-        drop(m);
-    }
-
-    #[test]
     fn mhp_matches_oracle_and_is_symmetric() {
         let (m, fsam, engine) = engine();
         let oracle = fsam.mhp.oracle();
@@ -422,26 +353,31 @@ mod tests {
     }
 
     #[test]
-    fn query_many_answers_in_request_order_with_dedup() {
-        let (_m, _fsam, engine) = engine();
+    fn query_many_answers_in_request_order_and_duplicates_agree() {
+        let (m, _fsam, engine) = engine();
         let r = engine.var_named("main", "r").unwrap();
         let c = engine.var_named("main", "c").unwrap();
         let q = engine.var_named("foo", "q").unwrap();
+        let stmts: Vec<StmtId> = m.stmts().map(|(s, _)| s).collect();
+        let (s1, s2) = (stmts[0], stmts[stmts.len() - 1]);
         let slab = vec![
             Query::MayAlias(r, c),
             Query::MayAlias(c, r), // symmetric dup of the first
             Query::PointsTo(q),
             Query::MayAlias(r, c), // exact dup
+            Query::Mhp(s1, s2),
+            Query::Mhp(s2, s1), // symmetric dup
+            Query::PointsTo(q), // exact dup
         ];
         let answers = engine.query_many(&slab);
-        assert_eq!(answers.len(), 4);
+        assert_eq!(answers.len(), slab.len());
         assert_eq!(answers[0], Answer::Bool(true));
         assert_eq!(answers[1], answers[0]);
         assert_eq!(answers[3], answers[0]);
         assert!(matches!(&answers[2], Answer::Objects(objs) if objs.len() == 1));
-        // Three duplicates collapsed into a single cache probe.
-        let alias = engine.cache_stats();
-        assert_eq!(alias.hits + alias.misses, 1);
+        assert_eq!(answers[6], answers[2]);
+        assert_eq!(answers[4], Answer::Bool(engine.mhp(s1, s2)));
+        assert_eq!(answers[5], answers[4]);
     }
 
     #[test]
@@ -468,32 +404,15 @@ mod tests {
         assert_eq!(engine.pt_names("main", "nope"), None);
     }
 
-    /// Satellite: repeated `may_alias` calls advance the hit counters, the
-    /// formatted section reflects them, and the trace export mirrors the
-    /// same numbers as counters.
+    /// The formatted section and the trace export both describe the
+    /// factored MHP relation and the happens-before facts.
     #[test]
-    fn stats_section_and_trace_export_track_repeated_queries() {
+    fn stats_section_and_trace_export_describe_the_relations() {
         let (_m, _fsam, engine) = engine();
-        let r = engine.var_named("main", "r").unwrap();
-        let c = engine.var_named("main", "c").unwrap();
-        assert!(engine.may_alias(r, c));
-        let after_first = engine.cache_stats();
-        assert_eq!((after_first.hits, after_first.misses), (0, 1));
-        for _ in 0..5 {
-            assert!(engine.may_alias(r, c));
-        }
-        let after = engine.cache_stats();
-        assert_eq!(after.misses, 1, "repeats must not recompute");
-        assert_eq!(after.hits, 5, "every repeat is a cache hit");
-        assert!(
-            engine.alias_cache.front_hits() >= 4,
-            "repeats after the refill are answered by the lock-free front"
-        );
-
         let section = engine.stats();
-        assert!(section.contains("query cache statistics"), "{section}");
-        assert!(section.contains("alias"), "{section}");
-        assert!(section.contains("5 hits"), "{section}");
+        assert!(section.contains("query engine statistics"), "{section}");
+        assert!(section.contains("mhp"), "{section}");
+        assert!(section.contains("hb"), "{section}");
 
         let rec = fsam_trace::Recorder::new(64);
         {
@@ -506,14 +425,15 @@ mod tests {
                 _ => None,
             })
         };
-        assert_eq!(find("query.alias.hits"), Some(5));
-        assert_eq!(find("query.alias.misses"), Some(1));
-        // The factored MHP relation's shape rides along in the same span.
         let regions = find("mhp.regions").expect("relation counters exported");
         assert!(regions >= 1);
         assert_eq!(
             find("mhp.region_stmts"),
             Some(engine.rel.stmt_count() as u64)
+        );
+        assert_eq!(
+            find("hb.region_stmts"),
+            Some(engine.db.hb().stmt_count() as u64)
         );
     }
 

@@ -11,9 +11,9 @@
 //!   wrong-version files come back as typed [`SnapshotError`]s, never
 //!   panics.
 //! * [`QueryEngine`] answers `points_to` / `may_alias` / `aliases_of` /
-//!   `mhp` demand-drivenly over a database, memoising the symmetric
-//!   relations in a sharded lock-striped LRU and deduplicating batched
-//!   slabs in [`QueryEngine::query_many`].
+//!   `mhp` demand-drivenly over a database, straight from the snapshot's
+//!   interned sets and factored MHP relation, with no answer cache;
+//!   [`QueryEngine::query_many`] answers a batched slab in request order.
 //! * [`clients`] rebuilds the race, deadlock and instrumentation clients
 //!   on the batched query interface, result-identical to the core crate's
 //!   direct implementations.
@@ -54,14 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod clients;
 pub mod codec;
 pub mod engine;
 pub mod snapshot;
 
-pub use cache::{CacheStats, PairCache, ShardedCache};
 pub use clients::{detect_deadlocks, detect_races, plan_instrumentation};
 pub use codec::CodecError;
-pub use engine::{op_mix, Answer, Query, QueryEngine};
+pub use engine::{op_mix, Answer, CacheStats, Query, QueryEngine};
 pub use snapshot::{AnalysisDb, SnapshotError, FORMAT_VERSION, MAGIC};

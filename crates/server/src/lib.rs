@@ -2,8 +2,8 @@
 //!
 //! The sparse analysis is solve-once/query-many: `fsam-query` froze the
 //! solved state into [`AnalysisDb`](fsam_query::AnalysisDb) snapshots and
-//! answers demand-driven queries through a lock-free
-//! [`PairCache`](fsam_query::PairCache) built for concurrent readers.
+//! answers demand-driven queries straight from their immutable tables, so
+//! concurrent readers share one engine without locks.
 //! This crate puts that engine behind a process boundary: a
 //! multi-threaded std-TCP daemon that loads snapshots and serves
 //! `points_to` / `may_alias` / `mhp` / `aliases_of` / lint-diagnostic
@@ -19,9 +19,9 @@
 //! * `Ping` / `Stats` / `Shutdown` control ops make the daemon
 //!   health-checkable and stoppable in-band — no signal handling in
 //!   tests or CI.
-//! * Serving counters (qps, cache hit rates, latency percentiles, swap
-//!   count) export as `server.*` through `fsam-trace` ([`Metrics`]),
-//!   over rolling 1s/10s/60s windows as well as process lifetime.
+//! * Serving counters (qps, latency percentiles, swap count) export as
+//!   `server.*` through `fsam-trace` ([`Metrics`]), over rolling
+//!   1s/10s/60s windows as well as process lifetime.
 //! * The observability plane (protocol v2): sampled per-request `req.*`
 //!   phase traces dumped in-band (`DumpTrace`), a slow-query log riding
 //!   the `Stats` op, a Prometheus-style text exposition (`MetricsText`),

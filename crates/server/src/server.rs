@@ -441,11 +441,6 @@ fn handle_request(req: Request, shared: &Shared) -> (Response, bool, Option<Samp
         Request::Stats => {
             let state = shared.current();
             let mut pairs = shared.metrics.pairs();
-            let alias = state.engine.cache_stats();
-            pairs.push(("alias_hits".into(), alias.hits));
-            pairs.push(("alias_front_hits".into(), state.engine.front_hits()));
-            pairs.push(("alias_misses".into(), alias.misses));
-            pairs.push(("alias_entries".into(), alias.entries as u64));
             pairs.push(("vars".into(), state.engine.db().var_names().len() as u64));
             pairs.push(("objects".into(), state.engine.db().obj_names().len() as u64));
             pairs.push(("diags".into(), state.diags.len() as u64));

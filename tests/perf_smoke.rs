@@ -4,9 +4,10 @@
 //! converges in a small, deterministic number of worklist items (module
 //! generation and the solver schedule are both seeded — reruns are
 //! bit-identical). These bounds are the measured item counts at the smoke
-//! scale with ~50% headroom; a regression that reintroduces redundant
-//! recomputation (e.g. losing delta gating or the topological level order)
-//! blows through them long before wall-clock noise would show it.
+//! scale, plus one program at the benchmark scale, with ~50% headroom; a
+//! regression that reintroduces redundant recomputation (e.g. losing delta
+//! gating or the topological level order) blows through them long before
+//! wall-clock noise would show it.
 //!
 //! CI runs this as a dedicated perf-smoke step. If an intentional solver
 //! change shifts the counts, re-measure (the failure message prints the
@@ -20,9 +21,10 @@ use fsam_suite::{Program, Scale};
 
 /// `stats.processed` per program at `Scale::SMOKE`, times 1.5, as measured
 /// under the solver's former total-priority pop order. The level drain that
-/// replaced it visits a few percent more items at this scale (x264 3545,
-/// raytrace 3150, bodytrack 290, word_count 260, each within its bound)
-/// and far fewer at larger ones (x264 @ 0.32: 75 k instead of 406 k). The
+/// replaced it visits 3–17 % more items at this scale (x264 3545,
+/// raytrace 3150, bodytrack 290, word_count 260, each within its bound),
+/// so re-measuring would loosen these bounds, not tighten them; the order
+/// is pinned by [`LEVEL_ORDER_BOUND`] at a scale where it matters. The
 /// solve is sequential, so the count is the same at every worker count.
 const BOUNDS: [(&str, usize); 10] = [
     ("word_count", 365),
@@ -37,23 +39,32 @@ const BOUNDS: [(&str, usize); 10] = [
     ("x264", 5259),
 ];
 
+/// `stats.processed` for httpd_server at the benchmark scale 0.32, times
+/// 1.5. The level drain processes 16,782 items there; the former
+/// total-priority order needed 40,262, so going back to it fails here.
+const LEVEL_ORDER_BOUND: (Program, Scale, usize) = (Program::HttpdServer, Scale(0.32), 25_173);
+
 #[test]
 fn worklist_items_stay_under_checked_in_bounds() {
-    for p in Program::all() {
-        let module = p.generate(Scale::SMOKE);
-        let fsam = Pipeline::for_module(&module)
-            .with_threads(1)
-            .run(PhaseConfig::full());
-        let processed = fsam.result.stats.processed;
+    let smoke = Program::all().into_iter().map(|p| {
         let bound = BOUNDS
             .iter()
             .find(|(name, _)| *name == p.name())
             .unwrap_or_else(|| panic!("no bound checked in for {}", p.name()))
             .1;
+        (p, Scale::SMOKE, bound)
+    });
+    for (p, scale, bound) in smoke.chain([LEVEL_ORDER_BOUND]) {
+        let module = p.generate(scale);
+        let fsam = Pipeline::for_module(&module)
+            .with_threads(1)
+            .run(PhaseConfig::full());
+        let processed = fsam.result.stats.processed;
         assert!(
             processed <= bound,
-            "{}: solver processed {processed} worklist items, bound is {bound}",
-            p.name()
+            "{} @ {}: solver processed {processed} worklist items, bound is {bound}",
+            p.name(),
+            scale.0
         );
     }
 }

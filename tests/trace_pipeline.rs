@@ -263,9 +263,6 @@ fn bench_export_keys_have_not_drifted() {
             "p50_us",
             "p95_us",
             "p99_us",
-            "alias_hits",
-            "alias_front_hits",
-            "alias_misses",
             "swaps",
             "errors",
             "peak_rss_kb",
