@@ -7,7 +7,7 @@
 //! fork sites treated as weak calls (steps 1–2, Figure 6(c)) and resolved
 //! join sites exposing the joined thread's side effects (step 3,
 //! Figure 6(d)). Thread-aware edges (§3.3) are appended afterwards via
-//! [`Svfg::add_thread_edge`].
+//! [`Svfg::insert_thread_edges_grouped`], one interference class at a time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

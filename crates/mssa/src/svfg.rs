@@ -18,7 +18,8 @@
 //!   Figure 6(d)).
 //!
 //! Thread-*aware* edges (§3.3) are appended later by the pipeline through
-//! [`Svfg::add_thread_edge`].
+//! [`Svfg::insert_thread_edges_grouped`], which materializes the
+//! interference classes the value-flow phase emits.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -26,6 +27,7 @@ use fsam_andersen::PreAnalysis;
 use fsam_ir::dom::DomTree;
 use fsam_ir::{BlockId, FuncId, Module, StmtId, StmtKind, Terminator, VarId};
 use fsam_pts::MemId;
+use fsam_threads::valueflow::ThreadGroup;
 use fsam_threads::ThreadModel;
 
 use crate::annotate::Annotations;
@@ -90,10 +92,10 @@ pub enum NodeKind {
         /// The object.
         obj: MemId,
     },
-    /// A merge point for thread-aware value flows on `obj`: when the
-    /// interference analyses produce a complete store×access product, the
-    /// flows are routed through one junction (k+m edges instead of k×m)
-    /// with identical points-to results.
+    /// A merge point for thread-aware value flows on `obj`: interference
+    /// classes above the fan-in threshold are routed through it (k+m edges
+    /// instead of k×m). There is one junction per object, so all such
+    /// classes on `obj` share it — see [`Svfg::add_thread_group`].
     ThreadJunction {
         /// The object flowing through the junction.
         obj: MemId,
@@ -126,14 +128,6 @@ pub struct ThreadEdgeInsertion {
     pub junctions: usize,
     /// Graph edges actually appended (after deduplication).
     pub edges_added: usize,
-}
-
-impl ThreadEdgeInsertion {
-    fn absorb(&mut self, other: ThreadEdgeInsertion) {
-        self.classes += other.classes;
-        self.junctions += other.junctions;
-        self.edges_added += other.edges_added;
-    }
 }
 
 /// The sparse value-flow graph.
@@ -288,46 +282,29 @@ impl Svfg {
         false
     }
 
-    /// Appends the thread-aware def-use edges produced by the interference
-    /// phases (§3.3), grouped so complete store×access products share a
-    /// junction node.
-    ///
-    /// Edges are bucketed per object; within an object, stores are
-    /// partitioned by their exact access set, so every class is a complete
-    /// bipartite product routable through one
-    /// [`NodeKind::ThreadJunction`] (k+m edges instead of k×m) with
-    /// identical reachability — see [`Svfg::add_thread_group`]. `BTreeMap`
-    /// grouping keeps the insertion order (and thus node ids) deterministic.
-    pub fn insert_thread_edges_grouped(
-        &mut self,
-        edges: &[(StmtId, StmtId, MemId)],
-    ) -> ThreadEdgeInsertion {
-        use std::collections::BTreeSet;
-        let mut by_obj: BTreeMap<MemId, Vec<(StmtId, StmtId)>> = BTreeMap::new();
-        for &(s, a, o) in edges {
-            by_obj.entry(o).or_default().push((s, a));
+    /// Appends the thread-aware def-use flows produced by the interference
+    /// phases (§3.3): one [`Svfg::add_thread_group`] per class, in the
+    /// given order (which fixes the node ids).
+    pub fn insert_thread_edges_grouped(&mut self, groups: &[ThreadGroup]) -> ThreadEdgeInsertion {
+        let mut total = ThreadEdgeInsertion::default();
+        for g in groups {
+            let one = self.add_thread_group(&g.stores, &g.accesses, g.obj);
+            total.classes += one.classes;
+            total.junctions += one.junctions;
+            total.edges_added += one.edges_added;
         }
-        let mut outcome = ThreadEdgeInsertion::default();
-        for (o, pairs) in by_obj {
-            let mut access_sets: BTreeMap<StmtId, BTreeSet<StmtId>> = BTreeMap::new();
-            for &(s, a) in &pairs {
-                access_sets.entry(s).or_default().insert(a);
-            }
-            let mut classes: BTreeMap<Vec<StmtId>, Vec<StmtId>> = BTreeMap::new();
-            for (s, accs) in access_sets {
-                let key: Vec<StmtId> = accs.into_iter().collect();
-                classes.entry(key).or_default().push(s);
-            }
-            for (accesses, stores) in classes {
-                outcome.absorb(self.add_thread_group(&stores, &accesses, o));
-            }
-        }
-        outcome
+        total
     }
 
     /// Appends a group of thread-aware def-use flows for one object: every
     /// store interferes with every access. Uses direct edges for small
     /// groups and a [`NodeKind::ThreadJunction`] above the fan-in threshold.
+    ///
+    /// The junction is interned per object: all large groups on `obj` share
+    /// it, so their stores also reach each other's accesses — a sound
+    /// over-approximation kept because a junction per group costs x264 26 %
+    /// more solver items for the same full-configuration fixpoint
+    /// (EXPERIMENTS.md, "Shared thread junctions").
     pub fn add_thread_group(
         &mut self,
         stores: &[StmtId],
@@ -944,6 +921,14 @@ mod tests {
         assert!(!svfg.is_thread_edge(nl, nw), "marks are directed");
     }
 
+    fn group(obj: MemId, stores: &[StmtId], accesses: &[StmtId]) -> ThreadGroup {
+        ThreadGroup {
+            obj,
+            stores: stores.to_vec(),
+            accesses: accesses.to_vec(),
+        }
+    }
+
     /// The worker/main skeleton used by the grouped-insertion tests: one
     /// shared global plus enough store/load statements to form products.
     fn interference_world() -> (Module, PreAnalysis, Svfg, MemId) {
@@ -985,7 +970,7 @@ mod tests {
             naive.add_thread_edge(s, a, o);
         }
         let mut grouped = base;
-        let outcome = grouped.insert_thread_edges_grouped(&edges);
+        let outcome = grouped.insert_thread_edges_grouped(&[group(g, &[sw0, sw1], &[sl0, sl1])]);
         assert_eq!(
             outcome,
             ThreadEdgeInsertion {
@@ -1003,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_insertion_partitions_by_access_set() {
+    fn grouped_insertion_keeps_classes_apart() {
         let (m, _, mut svfg, g) = interference_world();
         // Synthetic statement ids: disconnected in the base graph, so any
         // reachability below comes from the inserted edges alone.
@@ -1011,7 +996,9 @@ mod tests {
         let (sw0, sw1) = (StmtId::new(hi + 1), StmtId::new(hi + 2));
         let (sl0, sl1) = (StmtId::new(hi + 3), StmtId::new(hi + 4));
         // sw0 interferes only with sl0, sw1 only with sl1: two classes.
-        svfg.insert_thread_edges_grouped(&[(sw0, sl0, g), (sw1, sl1, g)]);
+        let outcome =
+            svfg.insert_thread_edges_grouped(&[group(g, &[sw0], &[sl0]), group(g, &[sw1], &[sl1])]);
+        assert_eq!((outcome.classes, outcome.edges_added), (2, 2));
         assert!(svfg.reaches(sw0, sl0, g));
         assert!(svfg.reaches(sw1, sl1, g));
         assert!(!svfg.reaches(sw0, sl1, g), "classes must not be merged");
@@ -1039,14 +1026,8 @@ mod tests {
                 }
             })
             .collect();
-        let mut edges = Vec::new();
-        for &s in &stores {
-            for &a in &accesses {
-                edges.push((s, a, g));
-            }
-        }
         let before = svfg.stats.edges;
-        let outcome = svfg.insert_thread_edges_grouped(&edges);
+        let outcome = svfg.insert_thread_edges_grouped(&[group(g, &stores, &accesses)]);
         let junction = svfg
             .lookup(NodeKind::ThreadJunction { obj: g })
             .expect("large product must route through a junction");
@@ -1063,6 +1044,40 @@ mod tests {
                 assert!(svfg.reaches(s, a, g));
             }
         }
+    }
+
+    /// The junction is interned per object: two classes above the fan-in
+    /// threshold on one object share it, so each class's stores also reach
+    /// the other's accesses.
+    #[test]
+    fn large_classes_on_one_object_share_its_junction() {
+        let (m, _, mut svfg, g) = interference_world();
+        let hi = m.stmt_count() as u32;
+        let ids = |base: u32| {
+            (0..9)
+                .map(|i| StmtId::new(hi + base + i))
+                .collect::<Vec<_>>()
+        };
+        let (s1, a1, s2, a2) = (ids(0), ids(100), ids(200), ids(300));
+        let first = svfg.insert_thread_edges_grouped(&[group(g, &s1, &a1)]);
+        let nodes = svfg.node_count();
+        let second = svfg.insert_thread_edges_grouped(&[group(g, &s2, &a2)]);
+        assert_eq!((first.junctions, second.junctions), (1, 0));
+        assert_eq!(second.edges_added, 18);
+        assert_eq!(svfg.node_count() - nodes, 18, "only the new statements");
+        let junction = svfg.lookup(NodeKind::ThreadJunction { obj: g }).unwrap();
+        for &s in s1.iter().chain(&s2) {
+            let n = svfg.stmt_node(s).unwrap();
+            assert!(svfg.is_thread_edge(n, junction));
+        }
+        assert!(
+            svfg.reaches(s1[0], a2[0], g),
+            "shared junction joins classes"
+        );
+        assert!(
+            svfg.reaches(s2[0], a1[0], g),
+            "shared junction joins classes"
+        );
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub use mhp::{MhpBackend, MhpOracle, ProcMhp};
 pub use model::{JoinEntry, ThreadId, ThreadInfo, ThreadModel};
 pub use relation::MhpRelation;
 pub use shared::SharedObjects;
-pub use valueflow::{ObjectFlow, ThreadValueFlow, ValueFlowPlan, ValueFlowStats};
+pub use valueflow::{ThreadGroup, ThreadValueFlow, ValueFlowPlan, ValueFlowStats};

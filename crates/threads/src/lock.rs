@@ -18,7 +18,9 @@
 //! (Definition 6) — and is therefore filtered — when both instances hold a
 //! common lock and the store is not a span tail or the access is not a span
 //! head: mutual exclusion then guarantees the value is overwritten or
-//! already redefined before the other span can observe it.
+//! already redefined before the other span can observe it. Only pairs of
+//! *protected* statements ([`LockAnalysis::protected_stmts`]) can qualify,
+//! so the value-flow phase runs the test on those alone.
 
 use std::collections::{HashMap, HashSet};
 
@@ -33,6 +35,9 @@ use crate::model::{ThreadId, ThreadModel};
 
 /// A sorted set of singleton lock objects (small).
 pub type LockSet = Vec<MemId>;
+
+/// A context-sensitive statement instance `(thread, context, statement)`.
+pub type Instance = (ThreadId, CtxId, StmtId);
 
 fn lockset_insert(set: &mut LockSet, l: MemId) -> bool {
     match set.binary_search(&l) {
@@ -170,7 +175,7 @@ pub struct LockAnalysis {
     may_held: FlowState<LockSet>,
     spans: Vec<Span>,
     /// `(thread, ctx, stmt)` → indices of spans containing the instance.
-    membership: HashMap<(ThreadId, CtxId, StmtId), Vec<u32>>,
+    membership: HashMap<Instance, Vec<u32>>,
     /// Statistics: number of spans discovered.
     pub span_count: usize,
 }
@@ -256,12 +261,7 @@ impl LockAnalysis {
 
     /// Whether both instances certainly hold at least one common lock
     /// (lockset discipline; used by the race-detection client).
-    pub fn commonly_protected(
-        &self,
-        icfg: &Icfg,
-        i1: (ThreadId, CtxId, StmtId),
-        i2: (ThreadId, CtxId, StmtId),
-    ) -> bool {
+    pub fn commonly_protected(&self, icfg: &Icfg, i1: Instance, i2: Instance) -> bool {
         let h1 = self.held_at(icfg, i1.0, i1.1, i1.2);
         let h2 = self.held_at(icfg, i2.0, i2.1, i2.2);
         h1.iter().any(|l| h2.binary_search(l).is_ok())
@@ -271,41 +271,42 @@ impl LockAnalysis {
     /// `o` is a *non-interference* pair — both instances protected by a
     /// common lock, and the store is not a span tail or the access is not a
     /// span head. Such pairs need no thread-aware def-use edge.
-    pub fn non_interference(
-        &self,
-        icfg: &Icfg,
-        i1: (ThreadId, CtxId, StmtId),
-        i2: (ThreadId, CtxId, StmtId),
-        o: MemId,
-    ) -> bool {
-        let (t1, c1, s1) = i1;
-        let (t2, c2, s2) = i2;
-        let held1 = self.held_at(icfg, t1, c1, s1);
-        let held2 = self.held_at(icfg, t2, c2, s2);
-        let spans1 = self.membership.get(&(t1, c1, s1));
-        let spans2 = self.membership.get(&(t2, c2, s2));
-        let (Some(spans1), Some(spans2)) = (spans1, spans2) else {
-            return false;
+    pub fn non_interference(&self, icfg: &Icfg, i1: Instance, i2: Instance, o: MemId) -> bool {
+        let tail = |span: &Span| {
+            span.tl
+                .get(&o)
+                .is_some_and(|set| set.contains(&(i1.1, i1.2)))
         };
-        for &sp1 in spans1 {
-            let span1 = &self.spans[sp1 as usize];
-            let l = span1.lock;
-            if held1.binary_search(&l).is_err() {
-                continue; // membership without must-protection: ignore
-            }
-            for &sp2 in spans2 {
-                let span2 = &self.spans[sp2 as usize];
-                if span2.lock != l || held2.binary_search(&l).is_err() {
-                    continue;
-                }
-                let s1_is_tail = span1.tl.get(&o).is_some_and(|set| set.contains(&(c1, s1)));
-                let s2_is_head = span2.hd.get(&o).is_some_and(|set| set.contains(&(c2, s2)));
-                if !s1_is_tail || !s2_is_head {
-                    return true;
-                }
-            }
-        }
-        false
+        let head = |span: &Span| {
+            span.hd
+                .get(&o)
+                .is_some_and(|set| set.contains(&(i2.1, i2.2)))
+        };
+        self.guarding_spans(icfg, i1).any(|span1| {
+            self.guarding_spans(icfg, i2)
+                .any(|span2| span2.lock == span1.lock && !(tail(span1) && head(span2)))
+        })
+    }
+
+    /// The spans containing instance `i` whose lock is must-held there
+    /// (membership without must-protection does not count).
+    fn guarding_spans(&self, icfg: &Icfg, i: Instance) -> impl Iterator<Item = &Span> {
+        let held = self.held_at(icfg, i.0, i.1, i.2);
+        let spans = self.membership.get(&i).map_or(&[][..], Vec::as_slice);
+        let spans = spans.iter().map(|&sp| &self.spans[sp as usize]);
+        spans.filter(move |span| held.binary_search(&span.lock).is_ok())
+    }
+
+    /// The statements with an instance inside a span whose lock is
+    /// must-held there: for every other statement,
+    /// [`non_interference`](Self::non_interference) is false.
+    pub fn protected_stmts(&self, icfg: &Icfg) -> HashSet<StmtId> {
+        let protected = |i: &&Instance| self.guarding_spans(icfg, **i).next().is_some();
+        self.membership
+            .keys()
+            .filter(protected)
+            .map(|i| i.2)
+            .collect()
     }
 
     /// Walks every context-sensitive acquisition instance and builds spans.

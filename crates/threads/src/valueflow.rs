@@ -1,18 +1,21 @@
 //! The value-flow analysis — paper §3.3.2, rule `[THREAD-VF]`.
 //!
-//! For every MHP store-load and store-store pair whose pointers share a
-//! pointed-to object (`o ∈ AS(*p, *q)` from the pre-analysis), a
-//! thread-aware def-use edge is produced; the lock analysis (Definition 6)
-//! filters the pairs whose every MHP instance pair is a non-interference
-//! pair. The surviving edges are appended to the SVFG by the pipeline.
+//! Every MHP store-load and store-store pair whose pointers share a
+//! pointed-to object (`o ∈ AS(*p, *q)` from the pre-analysis) gets a
+//! thread-aware def-use flow, unless Definition 6 (the lock analysis)
+//! finds every MHP instance pair non-interfering. The flows come out as
+//! complete store × access classes ([`ThreadGroup`]): a store reaches the
+//! accesses in the MHP regions parallel to its own, so all stores of a
+//! region share one access set. Only pairs of *protected* statements
+//! ([`LockAnalysis::protected_stmts`]) get the lock test, and a store that
+//! loses accesses gets a class of its own.
 //!
-//! The *No-Value-Flow* ablation of Figure 12 disregards the aliasing
-//! condition (`blind` mode): every MHP store/access pair gets edges for all
-//! of the store's target objects, flooding the sparse solver with
-//! unnecessary value flows — exactly the behaviour whose cost §4.4
+//! The *No-Value-Flow* ablation of Figure 12 (`blind` mode) disregards the
+//! aliasing condition: every MHP store/access pair gets flows for all of
+//! the store's targets, the unnecessary value flows whose cost §4.4
 //! quantifies.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use fsam_andersen::PreAnalysis;
 use fsam_ir::icfg::Icfg;
@@ -35,7 +38,7 @@ pub struct ValueFlowStats {
     pub mhp_pairs: usize,
     /// Pairs removed by the lock analysis (Definition 6).
     pub lock_filtered: usize,
-    /// Thread-aware def-use edges produced.
+    /// Thread-aware def-use flows produced (the sum of class products).
     pub edges: usize,
 }
 
@@ -52,23 +55,90 @@ impl ValueFlowStats {
     }
 }
 
-/// The thread-aware def-use edges to append to the SVFG.
+/// One complete interference class: every store flows to every access.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ThreadGroup {
+    /// The object the values flow through.
+    pub obj: MemId,
+    /// The stores, ascending.
+    pub stores: Vec<StmtId>,
+    /// The accesses, ascending; a store of a self-parallel region is one.
+    pub accesses: Vec<StmtId>,
+}
+
+/// The thread-aware def-use flows to append to the SVFG — of every object,
+/// or of one ([`ValueFlowPlan::object_flow`]).
 #[derive(Debug, Default)]
 pub struct ThreadValueFlow {
-    /// `(store, access, object)` triples.
-    pub edges: Vec<(StmtId, StmtId, MemId)>,
+    /// The classes, by object and then by access set.
+    pub edges: Vec<ThreadGroup>,
     /// Phase statistics.
     pub stats: ValueFlowStats,
 }
 
+impl ThreadValueFlow {
+    /// Appends `obj`'s classes and adds their pair counts. A store's access
+    /// set starts as the `accesses` (ascending) in regions parallel to its
+    /// own, computed once per region; `keep(s, a)` may then drop pairs, but
+    /// is asked only when both statements are `guarded`. Stores with equal
+    /// sets form one class, and classes come out in access-set order.
+    fn add_classes(
+        &mut self,
+        obj: MemId,
+        rel: &MhpRelation,
+        stores: &[StmtId],
+        accesses: &[(StmtId, u32)],
+        guarded: impl Fn(StmtId) -> bool,
+        keep: impl Fn(StmtId, StmtId) -> bool,
+    ) {
+        let mut by_region: BTreeMap<u32, Vec<StmtId>> = BTreeMap::new();
+        for (s, r) in regions(rel, stores) {
+            by_region.entry(r).or_default().push(s);
+        }
+        let mut classes: BTreeMap<Vec<StmtId>, Vec<StmtId>> = BTreeMap::new();
+        for (r, region_stores) in by_region {
+            let parallel = |&(a, ra): &(StmtId, u32)| rel.parallel_regions(r, ra).then_some(a);
+            let union: Vec<StmtId> = accesses.iter().filter_map(parallel).collect();
+            let mut unfiltered = Vec::new();
+            for s in region_stores {
+                self.stats.mhp_pairs += union.len();
+                let kept = |&a: &StmtId| !guarded(a) || keep(s, a);
+                let own =
+                    guarded(s).then(|| union.iter().copied().filter(kept).collect::<Vec<_>>());
+                match own {
+                    Some(own) if own.len() < union.len() => {
+                        self.stats.lock_filtered += union.len() - own.len();
+                        if !own.is_empty() {
+                            classes.entry(own).or_default().push(s);
+                        }
+                    }
+                    _ => unfiltered.push(s),
+                }
+            }
+            if !union.is_empty() && !unfiltered.is_empty() {
+                classes.entry(union).or_default().extend(unfiltered);
+            }
+        }
+        for (accesses, mut stores) in classes {
+            stores.sort_unstable();
+            self.stats.edges += stores.len() * accesses.len();
+            self.edges.push(ThreadGroup {
+                obj,
+                stores,
+                accesses,
+            });
+        }
+    }
+}
+
 /// The value-flow analysis decomposed into independent per-object units.
 ///
-/// Each shared object's store/access pair loop reads only immutable inputs
+/// Each shared object's classes depend only on immutable inputs
 /// ([`ValueFlowPlan::object_flow`] takes `&self`), so the objects can be
 /// evaluated in any order — or concurrently on a worker pool, which is how
 /// the pipeline runs this phase when configured with more than one thread.
 /// [`ValueFlowPlan::merge`] folds the per-object results back **in object
-/// order**, reproducing the sequential [`compute`] bit for bit: the edge
+/// order**, reproducing the sequential [`compute`] bit for bit: the group
 /// list, ordered by ascending object, is exactly what the sequential loop
 /// emits, and the statistics are sums of per-object counts.
 pub struct ValueFlowPlan<'a> {
@@ -76,20 +146,12 @@ pub struct ValueFlowPlan<'a> {
     oracle: &'a (dyn MhpOracle + Sync),
     rel: &'a MhpRelation,
     lock: Option<&'a LockAnalysis>,
+    /// [`LockAnalysis::protected_stmts`], empty without a lock analysis.
+    protected: HashSet<StmtId>,
     stores_of: HashMap<MemId, Vec<StmtId>>,
     accesses_of: HashMap<MemId, Vec<StmtId>>,
     /// The shared, multiply-accessed objects, ascending — one work unit each.
     objects: Vec<MemId>,
-}
-
-/// One object's contribution to the value flow: its edges plus the pair
-/// counts its loop accumulated.
-#[derive(Debug, Default)]
-pub struct ObjectFlow {
-    edges: Vec<(StmtId, StmtId, MemId)>,
-    aliased_pairs: usize,
-    mhp_pairs: usize,
-    lock_filtered: usize,
 }
 
 impl<'a> ValueFlowPlan<'a> {
@@ -118,6 +180,7 @@ impl<'a> ValueFlowPlan<'a> {
             oracle,
             rel,
             lock,
+            protected: lock.map_or_else(HashSet::new, |l| l.protected_stmts(icfg)),
             stores_of,
             accesses_of,
             objects,
@@ -129,61 +192,45 @@ impl<'a> ValueFlowPlan<'a> {
         &self.objects
     }
 
-    /// Evaluates work unit `i` (the `i`-th object's store × access loop).
+    /// Evaluates work unit `i` (the `i`-th object's classes).
     /// Pure with respect to the plan — safe to run concurrently.
-    pub fn object_flow(&self, i: usize) -> ObjectFlow {
+    pub fn object_flow(&self, i: usize) -> ThreadValueFlow {
         let o = self.objects[i];
-        let stores = &self.stores_of[&o];
-        let accesses = self.accesses_of.get(&o).map_or(&[][..], Vec::as_slice);
-        let mut out = ObjectFlow::default();
-        // One region lookup per statement; each pair costs one bit test.
-        let store_regions: Vec<Option<u32>> =
-            stores.iter().map(|&s| self.rel.region_of(s)).collect();
-        let access_regions: Vec<Option<u32>> =
-            accesses.iter().map(|&a| self.rel.region_of(a)).collect();
-        for (si, &s) in stores.iter().enumerate() {
-            for (ai, &a) in accesses.iter().enumerate() {
-                let par = match (store_regions[si], access_regions[ai]) {
-                    (Some(r1), Some(r2)) => self.rel.parallel_regions(r1, r2),
-                    _ => false,
-                };
-                if s == a {
-                    // A store can interfere with another runtime instance of
-                    // itself only in a multi-forked thread — exactly the
-                    // region self-bit.
-                    if !par {
-                        continue;
-                    }
-                } else {
-                    out.aliased_pairs += 1;
-                }
-                if !par {
-                    continue;
-                }
-                out.mhp_pairs += 1;
-                if let Some(lock) = self.lock {
-                    if all_instances_non_interfering(self.icfg, self.oracle, lock, s, a, o) {
-                        out.lock_filtered += 1;
-                        continue;
-                    }
-                }
-                out.edges.push((s, a, o));
-            }
-        }
+        let (stores, accesses) = (&self.stores_of[&o], &self.accesses_of[&o]);
+        let mut out = ThreadValueFlow::default();
+        // Every store is also an access, and not aliased with itself.
+        out.stats.aliased_pairs = stores.len() * accesses.len() - stores.len();
+        let guarded = |x| self.protected.contains(&x);
+        let keep = |s, a| !self.lock.is_some_and(|l| self.non_interfering(l, s, a, o));
+        let accesses = regions(self.rel, accesses);
+        out.add_classes(o, self.rel, stores, &accesses, guarded, keep);
         out
+    }
+
+    /// Whether *every* MHP instance pair of store `s` and access `a` is a
+    /// non-interference pair (Definition 6) — only then may the flow be dropped.
+    fn non_interfering(&self, lock: &LockAnalysis, s: StmtId, a: StmtId, o: MemId) -> bool {
+        let accesses = self.oracle.instances(a);
+        self.oracle.instances(s).into_iter().all(|(t1, c1)| {
+            accesses.iter().all(|&(t2, c2)| {
+                let (i1, i2) = ((t1, c1, s), (t2, c2, a));
+                !self.oracle.mhp_instances(self.icfg, i1, i2)
+                    || lock.non_interference(self.icfg, i1, i2, o)
+            })
+        })
     }
 
     /// Folds per-object results — **in object order** — into the final
     /// value flow. Deterministic for any evaluation schedule: the caller
     /// passes `flows[i] = object_flow(i)`.
-    pub fn merge(&self, flows: impl IntoIterator<Item = ObjectFlow>) -> ThreadValueFlow {
+    pub fn merge(&self, flows: impl IntoIterator<Item = ThreadValueFlow>) -> ThreadValueFlow {
         let mut out = ThreadValueFlow::default();
         out.stats.shared_objects = self.objects.len();
         for flow in flows {
-            out.stats.aliased_pairs += flow.aliased_pairs;
-            out.stats.mhp_pairs += flow.mhp_pairs;
-            out.stats.lock_filtered += flow.lock_filtered;
-            out.stats.edges += flow.edges.len();
+            out.stats.aliased_pairs += flow.stats.aliased_pairs;
+            out.stats.mhp_pairs += flow.stats.mhp_pairs;
+            out.stats.lock_filtered += flow.stats.lock_filtered;
+            out.stats.edges += flow.stats.edges;
             out.edges.extend(flow.edges);
         }
         out
@@ -217,14 +264,22 @@ fn index_accesses(
     (stores_of, accesses_of)
 }
 
-/// Computes the thread-aware def-use edges.
+/// `stmts` paired with their MHP regions; statements without one are never
+/// parallel with anything and are left out.
+fn regions(rel: &MhpRelation, stmts: &[StmtId]) -> Vec<(StmtId, u32)> {
+    stmts
+        .iter()
+        .filter_map(|&s| Some((s, rel.region_of(s)?)))
+        .collect()
+}
+
+/// Computes the thread-aware def-use flows.
 ///
 /// * `oracle` supplies instance-level MHP facts for the lock filter (the
 ///   interleaving analysis, or the PCG baseline in the *No-Interleaving*
 ///   configuration);
-/// * `rel` is the same backend factored into region form — every
-///   statement-level MHP test here is one region lookup plus a bit test,
-///   never a per-pair oracle probe;
+/// * `rel` is the same backend factored into region form — the classes
+///   are built from per-region unions, never per-pair oracle probes;
 /// * `lock` enables Definition 6 filtering (`None` in the *No-Lock*
 ///   configuration);
 /// * `blind` disregards the aliasing condition (*No-Value-Flow*).
@@ -244,80 +299,38 @@ pub fn compute(
         return compute_blind(module, pre, rel);
     }
     let plan = ValueFlowPlan::new(module, icfg, pre, oracle, rel, lock);
-    let flows: Vec<ObjectFlow> = (0..plan.objects().len())
-        .map(|i| plan.object_flow(i))
-        .collect();
-    plan.merge(flows)
+    plan.merge((0..plan.objects().len()).map(|i| plan.object_flow(i)))
 }
 
-/// The *No-Value-Flow* ablation: every MHP store/access pair gets edges
-/// for all of the store's target objects, no aliasing or sharedness test.
+/// The *No-Value-Flow* ablation: every store is paired with every MHP
+/// access but itself, no aliasing or sharedness test, with flows on all of
+/// the store's targets (a flow needs an object label to exist in the graph).
 fn compute_blind(module: &Module, pre: &PreAnalysis, rel: &MhpRelation) -> ThreadValueFlow {
-    let mut out = ThreadValueFlow::default();
     let (stores_of, accesses_of) = index_accesses(module, pre);
-    // No-Value-Flow: pair every store with every MHP access, no
-    // aliasing requirement — the edge still needs an object label to
-    // exist in the graph; we use all of the store's targets.
-    let all_accesses: Vec<StmtId> = {
-        let mut v: Vec<StmtId> = accesses_of.values().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let all_stores: Vec<StmtId> = {
-        let mut v: Vec<StmtId> = stores_of.values().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let store_regions: Vec<Option<u32>> = all_stores.iter().map(|&s| rel.region_of(s)).collect();
-    let access_regions: Vec<Option<u32>> = all_accesses.iter().map(|&a| rel.region_of(a)).collect();
-    for (si, &s) in all_stores.iter().enumerate() {
-        for (ai, &a) in all_accesses.iter().enumerate() {
-            let par = match (store_regions[si], access_regions[ai]) {
-                (Some(r1), Some(r2)) => rel.parallel_regions(r1, r2),
-                _ => false,
-            };
-            if s == a || !par {
-                continue;
-            }
-            out.stats.mhp_pairs += 1;
-            if let StmtKind::Store { ptr, .. } = module.stmt(s).kind {
-                for o in pre.pt_var(ptr).iter() {
-                    out.edges.push((s, a, o));
-                    out.stats.edges += 1;
-                }
-            }
-        }
+    let mut all: Vec<StmtId> = accesses_of.into_values().flatten().collect();
+    all.sort_unstable();
+    all.dedup();
+    let accesses = regions(rel, &all);
+    let mut objects: Vec<MemId> = stores_of.keys().copied().collect();
+    objects.sort_unstable();
+    let mut out = ThreadValueFlow::default();
+    for o in objects {
+        out.add_classes(o, rel, &stores_of[&o], &accesses, |_| true, |s, a| s != a);
     }
+    // Each store's pairs count once, not once per target object, and none
+    // is lock-filtered.
+    let is_store =
+        |&&(s, _): &&(StmtId, u32)| matches!(module.stmt(s).kind, StmtKind::Store { .. });
+    out.stats.mhp_pairs = (accesses.iter().filter(is_store))
+        .map(|&(s, r)| {
+            accesses
+                .iter()
+                .filter(|&&(a, ra)| a != s && rel.parallel_regions(r, ra))
+                .count()
+        })
+        .sum();
+    out.stats.lock_filtered = 0;
     out
-}
-
-/// Whether *every* MHP instance pair of `(store, access)` is a
-/// non-interference pair (Definition 6) — only then may the edge be dropped.
-fn all_instances_non_interfering(
-    icfg: &Icfg,
-    oracle: &dyn MhpOracle,
-    lock: &LockAnalysis,
-    store: StmtId,
-    access: StmtId,
-    o: MemId,
-) -> bool {
-    let is1 = oracle.instances(store);
-    let is2 = oracle.instances(access);
-    for &(t1, c1) in &is1 {
-        for &(t2, c2) in &is2 {
-            let i1 = (t1, c1, store);
-            let i2 = (t2, c2, access);
-            if !oracle.mhp_instances(icfg, i1, i2) {
-                continue;
-            }
-            if !lock.non_interference(icfg, i1, i2, o) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -355,6 +368,13 @@ mod tests {
             rel,
             lock,
         }
+    }
+
+    /// Whether some class of `vf` carries a flow from `store` to `access`.
+    fn has_flow(vf: &ThreadValueFlow, store: StmtId, access: StmtId) -> bool {
+        vf.edges.iter().any(|g| {
+            g.stores.binary_search(&store).is_ok() && g.accesses.binary_search(&access).is_ok()
+        })
     }
 
     fn nth_stmt(m: &Module, f: &str, pred: impl Fn(&StmtKind) -> bool, n: usize) -> StmtId {
@@ -403,12 +423,12 @@ mod tests {
         let store_x = nth_stmt(&w.m, "foo", |k| matches!(k, StmtKind::Store { .. }), 1);
         let load = nth_stmt(&w.m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
         assert!(
-            !vf.edges.iter().any(|&(s, a, _)| s == store_x && a == load),
+            !has_flow(&vf, store_x, load),
             "*x and *p don't alias: no thread-aware edge (Fig 1(d))"
         );
         let store_p = nth_stmt(&w.m, "foo", |k| matches!(k, StmtKind::Store { .. }), 0);
         assert!(
-            vf.edges.iter().any(|&(s, a, _)| s == store_p && a == load),
+            has_flow(&vf, store_p, load),
             "*p in foo does interfere with c = *p"
         );
     }
@@ -529,7 +549,7 @@ mod tests {
         );
         // Evaluate in reverse order (a worker pool evaluates in *any*
         // order), then merge in object order.
-        let mut flows: Vec<ObjectFlow> = (0..plan.objects().len())
+        let mut flows: Vec<ThreadValueFlow> = (0..plan.objects().len())
             .rev()
             .map(|i| plan.object_flow(i))
             .collect();
@@ -538,7 +558,7 @@ mod tests {
         assert_eq!(merged.stats, seq.stats);
         assert_eq!(
             merged.edges, seq.edges,
-            "edge order is part of the contract"
+            "group order is part of the contract"
         );
     }
 
@@ -592,15 +612,9 @@ mod tests {
         // The tail store -> head load edge must survive.
         let tail = nth_stmt(&w.m, "a", |k| matches!(k, StmtKind::Store { .. }), 1);
         let head = nth_stmt(&w.m, "b", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(with_lock
-            .edges
-            .iter()
-            .any(|&(s, a, _)| s == tail && a == head));
+        assert!(has_flow(&with_lock, tail, head));
         // The intermediate store -> head edge is filtered.
         let mid = nth_stmt(&w.m, "a", |k| matches!(k, StmtKind::Store { .. }), 0);
-        assert!(!with_lock
-            .edges
-            .iter()
-            .any(|&(s, a, _)| s == mid && a == head));
+        assert!(!has_flow(&with_lock, mid, head));
     }
 }
