@@ -10,17 +10,16 @@
 //! * it participates in no MHP store/access pair on a shared object, or
 //! * every such pair is consistently protected by a common lock.
 //!
-//! The planner returns the set of accesses to instrument; everything else
-//! can run uninstrumented, which is where the overhead reduction comes
-//! from. The plan errs toward instrumenting (any statically-unprovable
-//! access stays instrumented), so the dynamic tool loses no coverage.
+//! The planner (`fsam_query::plan_instrumentation`, over a query engine)
+//! returns the set of accesses to instrument; everything else can run
+//! uninstrumented, which is where the overhead reduction comes from. The
+//! plan errs toward instrumenting (any statically-unprovable access stays
+//! instrumented), so the dynamic tool loses no coverage. This module holds
+//! what the planner shares with the core crate: the plan type and the
+//! instance-level lock check [`instances_protected`].
 
-use std::collections::{HashMap, HashSet};
-
-use fsam_ir::{Module, StmtId, StmtKind};
-use fsam_pts::MemId;
+use fsam_ir::StmtId;
 use fsam_threads::mhp::MhpOracle;
-use fsam_threads::SharedObjects;
 
 use crate::pipeline::Fsam;
 
@@ -48,73 +47,6 @@ impl InstrumentationPlan {
     }
 }
 
-/// Computes the plan from the pipeline's results.
-pub fn plan(module: &Module, fsam: &Fsam) -> InstrumentationPlan {
-    let oracle: &dyn MhpOracle = &fsam.mhp;
-    let shared = SharedObjects::compute(module, &fsam.pre);
-
-    // Shared-object access sets (flow-sensitive pointer results keep the
-    // sets tight, which is exactly the precision argument of §1).
-    let mut stores_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
-    let mut accesses_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
-    let mut all_accesses: Vec<StmtId> = Vec::new();
-    for (sid, stmt) in module.stmts() {
-        match stmt.kind {
-            StmtKind::Store { ptr, .. } => {
-                all_accesses.push(sid);
-                for o in fsam.result.pt_var(ptr).iter() {
-                    if shared.is_shared(&fsam.pre, o) {
-                        stores_of.entry(o).or_default().push(sid);
-                        accesses_of.entry(o).or_default().push(sid);
-                    }
-                }
-            }
-            StmtKind::Load { ptr, .. } => {
-                all_accesses.push(sid);
-                for o in fsam.result.pt_var(ptr).iter() {
-                    if shared.is_shared(&fsam.pre, o) {
-                        accesses_of.entry(o).or_default().push(sid);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // An access is racy-capable if some MHP store/access pair on a common
-    // shared object is not consistently lock-protected.
-    let mut needs: HashSet<StmtId> = HashSet::new();
-    for (&o, stores) in &stores_of {
-        let accesses = accesses_of.get(&o).map_or(&[][..], Vec::as_slice);
-        for &s in stores {
-            for &a in accesses {
-                if needs.contains(&s) && needs.contains(&a) {
-                    continue;
-                }
-                if !oracle.mhp_stmt(s, a) {
-                    continue;
-                }
-                let protected = instances_protected(fsam, oracle, s, a);
-                if !protected {
-                    needs.insert(s);
-                    needs.insert(a);
-                }
-            }
-        }
-    }
-
-    let mut instrument = Vec::new();
-    let mut skip = Vec::new();
-    for sid in all_accesses {
-        if needs.contains(&sid) {
-            instrument.push(sid);
-        } else {
-            skip.push(sid);
-        }
-    }
-    InstrumentationPlan { instrument, skip }
-}
-
 /// Whether every MHP instance pair of `(s, a)` holds a common lock.
 ///
 /// Public so engine-backed clients (`fsam-query`) can reuse the
@@ -134,123 +66,4 @@ pub fn instances_protected(fsam: &Fsam, oracle: &dyn MhpOracle, s: StmtId, a: St
         }
     }
     true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fsam_ir::parse::parse_module;
-
-    fn plan_for(src: &str) -> (Module, Fsam, InstrumentationPlan) {
-        let m = parse_module(src).unwrap();
-        let fsam = Fsam::analyze(&m);
-        let p = plan(&m, &fsam);
-        (m, fsam, p)
-    }
-
-    #[test]
-    fn sequential_program_needs_no_instrumentation() {
-        let (_, _, p) = plan_for(
-            r#"
-            global g
-            func main() {
-            entry:
-              q = &g
-              store q, q
-              c = load q
-              ret
-            }
-        "#,
-        );
-        assert!(p.instrument.is_empty());
-        assert_eq!(p.reduction(), 1.0);
-    }
-
-    #[test]
-    fn racy_accesses_are_instrumented_private_ones_skipped() {
-        let (m, _, p) = plan_for(
-            r#"
-            global counter
-            func worker() {
-            local scratch
-            entry:
-              q = &counter
-              s = &scratch
-              v = load s          // private: skip
-              store s, v          // private: skip
-              store q, q          // races with main's read
-              ret
-            }
-            func main() {
-            entry:
-              q = &counter
-              t = fork worker()
-              c = load q          // races with worker's store
-              join t
-              ret
-            }
-        "#,
-        );
-        // The two racy accesses are instrumented; the private ones skip.
-        assert_eq!(p.instrument.len(), 2, "{:?}", render(&m, &p.instrument));
-        assert!(p.skip.len() >= 2);
-        assert!(p.reduction() > 0.0 && p.reduction() < 1.0);
-    }
-
-    #[test]
-    fn consistently_locked_accesses_are_skipped() {
-        let (_, _, p) = plan_for(
-            r#"
-            global counter
-            global mu
-            func worker() {
-            entry:
-              q = &counter
-              l = &mu
-              lock l
-              v = load q
-              store q, v
-              unlock l
-              ret
-            }
-            func main() {
-            entry:
-              q = &counter
-              l = &mu
-              t = fork worker()
-              lock l
-              c = load q
-              unlock l
-              join t
-              ret
-            }
-        "#,
-        );
-        assert!(
-            p.instrument.is_empty(),
-            "locked accesses need no dynamic checking: {:?}",
-            p.instrument
-        );
-    }
-
-    /// Regression: zero memory accesses means full reduction (nothing to
-    /// instrument), not `0.0`.
-    #[test]
-    fn no_accesses_is_full_reduction() {
-        let (_, _, p) = plan_for(
-            r#"
-            func main() {
-            entry:
-              ret
-            }
-        "#,
-        );
-        assert!(p.instrument.is_empty());
-        assert!(p.skip.is_empty());
-        assert_eq!(p.reduction(), 1.0);
-    }
-
-    fn render(m: &Module, stmts: &[StmtId]) -> Vec<String> {
-        stmts.iter().map(|&s| m.describe_stmt(s)).collect()
-    }
 }

@@ -75,7 +75,7 @@ pub mod solver;
 
 pub use deadlock::{detect_cycles, lock_order_edges, Deadlock, LockCycle};
 pub use fsam_threads::MhpBackend;
-pub use instrument::{plan as plan_instrumentation, InstrumentationPlan};
+pub use instrument::InstrumentationPlan;
 pub use nonsparse::{NonSparseOutcome, NonSparseResult, NonSparseStats};
 pub use par::thread_count;
 pub use pipeline::{Fsam, PhaseConfig, PhaseTimes, Pipeline, StageBuildCounts};

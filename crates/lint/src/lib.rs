@@ -18,8 +18,10 @@
 //!
 //! The race-shaped checkers share one [staged reducer](reduce) that cuts
 //! the O(n²) access-pair space with cheap filters (thread-escape, MHP,
-//! locksets) before any flow-sensitive alias query runs; each stage
-//! exports a kill counter on the `lint.*` trace namespace.
+//! happens-before, locksets) before any flow-sensitive alias query runs.
+//! It runs those stages on buckets of access sites that agree on every
+//! filter's input, so it costs buckets, not pairs; each stage exports a
+//! kill counter on the `lint.*` trace namespace.
 //!
 //! ## Suppression
 //!

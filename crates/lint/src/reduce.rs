@@ -3,49 +3,39 @@
 //! A naive race detector confirms every pair in the O(n²) store × access
 //! space with the most expensive test it has. This module runs the cheap,
 //! coarse filters first and the flow-sensitive alias confirmation *last*,
-//! so the precise machinery only ever sees the candidates nothing cheaper
-//! could kill:
+//! and never visits a pair: each load/store site is keyed once by its MHP
+//! region, its happens-before region, the interned class ([`PtsRef`]) of
+//! its flow-sensitive points-to set, and a lock key (the site itself when
+//! it is [locked](fsam_threads::LockAnalysis::locked_stmts), else `None`).
+//! Every stage's predicate is constant on that key, so per object the
+//! stores and loads are bucketed by key, and each bucket pair runs the
+//! stages once for its `|B1|·|B2|` pairs (`|B|(|B|+1)/2` for a store
+//! bucket with itself):
 //!
 //! 1. **enumerate** — store × access pairs per abstract object, from the
-//!    *Andersen* points-to sets (a superset of the flow-sensitive sets, so
-//!    nothing real is lost by starting coarse);
+//!    *Andersen* points-to sets (a superset of the flow-sensitive sets);
 //! 2. **shared** — drop objects never visible to two threads
 //!    ([`SharedObjects`]) and analysis artifacts (thread handles);
-//! 3. **MHP** — drop pairs whose statements cannot run in parallel. Each
-//!    access site resolves to its region in the engine's factored
-//!    [`MhpRelation`](fsam_threads::MhpRelation) once; every pair is then
-//!    one bit test — no batched pair slab, no memo table, no pair set
-//!    materialized;
-//! 4. **happens-before** — drop pairs must-ordered by condvar, barrier,
-//!    or release→acquire atomic synchronization
-//!    ([`HbFacts`](fsam_threads::hb::HbFacts), DESIGN §1.9): the same
-//!    region-lookup-plus-bit-test shape as MHP. Killed pairs fold into the
-//!    `hb_protected` (FL0005) groups — they are genuinely synchronized,
-//!    not races — and never reach the lockset memo or any flow-sensitive
-//!    alias query;
-//! 5. **lockset** — drop pairs whose every parallel instance pair holds a
-//!    common lock ([`fsam::racy_instances`]), memoised per statement pair;
-//! 6. **alias confirm** — the flow-sensitive check: the object must be in
-//!    *both* accessors' flow-sensitive points-to sets. Each site resolves
-//!    to its interned points-to *class* (the hash-consed [`PtsRef`] of its
-//!    set) once, and membership is memoised per `(class, object)` — two
-//!    sites whose sets hash-cons equal share every probe, so the stage
-//!    runs classes × objects, not sites × objects.
+//! 3. **MHP** — one [`MhpRelation`](fsam_threads::MhpRelation) bit test;
+//! 4. **happens-before** — one [`HbFacts`](fsam_threads::hb::HbFacts) bit
+//!    test (DESIGN §1.9); must-ordered pairs are synchronized, not racy,
+//!    and fold into the `hb_protected` (FL0005) groups;
+//! 5. **lockset** — [`fsam::racy_instances`], only between two locked
+//!    sites (single-site buckets). A pair with an unlocked side is never
+//!    commonly protected, and every region-parallel pair has an MHP
+//!    instance pair, so it is racy;
+//! 6. **alias confirm** — the object must be in *both* sides' classes,
+//!    probed at most once per `(object, class)`.
 //!
-//! The whole pipeline streams object by object: no stage ever holds the
-//! surviving pair set in memory. Survivors are *grouped* per abstract
-//! object into a [`RaceGroup`] — one representative pair plus an instance
-//! count — which is what the checkers report (the dedup key is
-//! `(object, field, lockset)`; this IR has no field accesses and a
-//! confirmed race's common lockset is empty by construction, so the key
-//! degenerates to the object). Pair-level identity against the classic
-//! enumerating detector is still asserted by the test suite via the
-//! per-group instance counts.
-//!
-//! Each stage exports a kill counter on the `lint.*` trace namespace,
-//! alongside the factored-form counters (`lint.confirmed_groups`,
-//! `lint.alias_classes`, `lint.class_probes`) that prove no quadratic
-//! structure was built.
+//! Survivors are *grouped* per abstract object into a [`RaceGroup`] — the
+//! smallest pair plus an instance count — which is what the checkers
+//! report (the dedup key is `(object, field, lockset)`; this IR has no
+//! field accesses and a confirmed race's common lockset is empty by
+//! construction, so the key degenerates to the object). The test suite
+//! asserts identity with the classic enumerating detector and with a
+//! pair-by-pair reducer. Each stage exports a kill counter on the
+//! `lint.*` trace namespace, alongside `lint.confirmed_groups`,
+//! `lint.alias_classes` and `lint.class_probes`.
 
 use std::collections::{HashMap, HashSet};
 
@@ -54,6 +44,7 @@ use fsam_ir::{Module, StmtId, StmtKind};
 use fsam_pts::{MemId, PtsRef};
 use fsam_query::QueryEngine;
 use fsam_threads::mhp::MhpOracle;
+use fsam_threads::valueflow::index_accesses;
 use fsam_threads::SharedObjects;
 use fsam_trace::Recorder;
 
@@ -72,10 +63,10 @@ pub struct RacePair {
 /// to a representative.
 ///
 /// The dedup key is `(object, field, lockset)`; with no field accesses in
-/// the IR and an empty common lockset on every surviving pair (stage 4
-/// killed the locked ones), the key is the object. `rep` is the first
-/// surviving pair in `(store, access)` order; `instances` counts every
-/// pair the group absorbed.
+/// the IR and an empty common lockset on every surviving pair (stage 5
+/// killed the locked ones), the key is the object. `rep` is the smallest
+/// pair in `(store, access)` order; `instances` counts every pair the
+/// group absorbed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RaceGroup {
     /// The abstract object all the group's pairs touch — the dedup key.
@@ -142,7 +133,7 @@ impl ReductionStats {
 /// near-misses, grouped per object, plus the per-stage funnel.
 #[derive(Clone, Debug, Default)]
 pub struct Reduction {
-    /// Groups whose pairs survived all five stages, sorted by object. The
+    /// Groups whose pairs survived every stage, sorted by object. The
     /// union of their instances is result-identical to the classic
     /// enumerating detector.
     pub confirmed: Vec<RaceGroup>,
@@ -154,6 +145,54 @@ pub struct Reduction {
     pub hb_protected: Vec<RaceGroup>,
     /// The per-stage funnel.
     pub stats: ReductionStats,
+}
+
+/// The per-site facts every stage keys on.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Key {
+    mhp: Option<u32>,
+    hb: Option<u32>,
+    class: Option<PtsRef>,
+    /// The site itself when it is locked, so locked sites bucket alone.
+    lock: Option<StmtId>,
+}
+
+/// The sites of one object sharing a key: the smallest, and how many.
+struct Bucket {
+    key: Key,
+    min: StmtId,
+    len: u64,
+}
+
+/// Buckets `sites` (ascending) by key, in order of first site.
+fn buckets(sites: impl Iterator<Item = StmtId>, keys: &HashMap<StmtId, Key>) -> Vec<Bucket> {
+    let mut index: HashMap<Key, usize> = HashMap::new();
+    let mut out: Vec<Bucket> = Vec::new();
+    for s in sites {
+        let key = keys[&s];
+        let i = *index.entry(key).or_insert_with(|| {
+            out.push(Bucket {
+                key,
+                min: s,
+                len: 0,
+            });
+            out.len() - 1
+        });
+        out[i].len += 1;
+    }
+    out
+}
+
+/// Adds `n` pairs with smallest pair `(store, access)` to `group`.
+fn absorb(group: &mut Option<RaceGroup>, obj: MemId, (store, access): (StmtId, StmtId), n: u64) {
+    let rep = RacePair { store, access, obj };
+    let g = group.get_or_insert(RaceGroup {
+        obj,
+        rep,
+        instances: 0,
+    });
+    g.rep = g.rep.min(rep);
+    g.instances += n;
 }
 
 /// Runs the staged reducer. See the module docs for the stage pipeline;
@@ -168,142 +207,98 @@ pub fn reduce(
     let oracle: &dyn MhpOracle = &fsam.mhp;
     let rel = engine.mhp_relation();
     let pool = engine.db().result().pool();
+    let locked: HashSet<StmtId> =
+        (fsam.lock.as_deref()).map_or_else(HashSet::new, |l| l.locked_stmts(&fsam.icfg));
     let mut stats = ReductionStats::default();
 
     // Stage 1 enumeration — Andersen (pre-analysis) points-to sets. The
     // flow-sensitive sets are subsets, so every classic pair is covered.
-    // Per-site facts the later stages key on — the MHP region (stage 3)
-    // and the interned flow-sensitive points-to class (stage 5) — are
-    // resolved once per access site here, never per pair.
-    let mut stores_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
-    let mut accesses_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
-    let mut region: HashMap<StmtId, Option<u32>> = HashMap::new();
-    let mut class: HashMap<StmtId, Option<PtsRef>> = HashMap::new();
+    let (stores_of, accesses_of) = index_accesses(module, &fsam.pre);
+    let mut keys: HashMap<StmtId, Key> = HashMap::new();
     for (sid, stmt) in module.stmts() {
-        let (ptr, is_store) = match stmt.kind {
-            StmtKind::Store { ptr, .. } => (ptr, true),
-            StmtKind::Load { ptr, .. } => (ptr, false),
-            _ => continue,
-        };
-        region.insert(sid, rel.region_of(sid));
-        class.insert(sid, engine.class_of(ptr));
-        for o in fsam.pre.pt_var(ptr).iter() {
-            if is_store {
-                stores_of.entry(o).or_default().push(sid);
-            }
-            accesses_of.entry(o).or_default().push(sid);
+        if let StmtKind::Store { ptr, .. } | StmtKind::Load { ptr, .. } = stmt.kind {
+            let key = Key {
+                mhp: rel.region_of(sid),
+                hb: fsam.hb.region_of(sid),
+                class: engine.class_of(ptr),
+                lock: locked.contains(&sid).then_some(sid),
+            };
+            keys.insert(sid, key);
         }
     }
+    let is_load = |&a: &StmtId| matches!(module.stmt(a).kind, StmtKind::Load { .. });
 
     let mut objects: Vec<MemId> = stores_of.keys().copied().collect();
     objects.sort();
 
-    // Cross-object memo tables: the same statement pair recurs across
-    // objects (stage 4), and sites sharing a points-to class share every
-    // membership probe (stage 5).
-    let mut racy_memo: HashMap<(StmtId, StmtId), bool> = HashMap::new();
-    let mut fs_memo: HashMap<(PtsRef, MemId), bool> = HashMap::new();
-
     let mut confirmed: Vec<RaceGroup> = Vec::new();
     let mut hb_protected: Vec<RaceGroup> = Vec::new();
+    let mut class_probes = 0;
 
-    // Stages 2–5, streamed object by object: no surviving-pair vector is
-    // ever materialized; each object folds directly into its group.
     for o in objects {
         let stores = &stores_of[&o];
         let accesses = accesses_of.get(&o).map_or(&[][..], Vec::as_slice);
-        // Store/store pairs would be enumerated in both orders; keeping
-        // only `s <= a` leaves each unordered pair once. Store/load pairs
-        // appear once regardless.
+        // Store/store pairs count once per unordered pair, a store with
+        // itself included; store/load pairs once.
         let n_stores = stores.len() as u64;
         let pair_count = n_stores * accesses.len() as u64 - n_stores * (n_stores - 1) / 2;
         stats.candidates += pair_count;
 
-        // Stage 2 — thread-shared filter, per object. Killed objects never
-        // even iterate their pairs; the funnel still counts them.
+        // Stage 2 — thread-shared filter, per object.
         let artifact = fsam.pre.objects().as_thread_handle(o).is_some();
         if artifact || !shared.is_shared(&fsam.pre, o) {
             stats.killed_shared += pair_count;
             continue;
         }
 
-        let store_set: HashSet<StmtId> = stores.iter().copied().collect();
+        let stores = buckets(stores.iter().copied(), &keys);
+        let loads = buckets(accesses.iter().copied().filter(is_load), &keys);
+        let (stores, loads) = (&stores, &loads);
+        // Every bucket pair: both keys, its pair count and smallest pair
+        // (buckets come in order of their smallest site).
+        let pairs = stores.iter().enumerate().flat_map(|(i, s)| {
+            let own = (s.key, s.key, s.len * (s.len + 1) / 2, (s.min, s.min));
+            let other_stores = (stores[i + 1..].iter())
+                .map(move |t| (s.key, t.key, s.len * t.len, (s.min, t.min)));
+            let loads = (loads.iter()).map(move |l| (s.key, l.key, s.len * l.len, (s.min, l.min)));
+            std::iter::once(own).chain(other_stores).chain(loads)
+        });
+
         let mut conf_group: Option<RaceGroup> = None;
         let mut hb_group: Option<RaceGroup> = None;
-        let mut fs_has = |site: StmtId, o: MemId| match class.get(&site).copied().flatten() {
-            Some(c) => *fs_memo.entry((c, o)).or_insert_with(|| pool.contains(c, o)),
-            None => false,
-        };
-        for &s in stores {
-            for &a in accesses {
-                if store_set.contains(&a) && s > a {
-                    continue;
-                }
-                // Stage 3 — statement-level MHP as one bit test. (For
-                // `s == a` the self-MHP bit doubles as the classic "does
-                // the statement run in two parallel instances" check.)
-                let parallel = match (region[&s], region[&a]) {
-                    (Some(r1), Some(r2)) => rel.parallel_regions(r1, r2),
-                    _ => false,
-                };
-                if !parallel {
-                    stats.killed_mhp += 1;
-                    continue;
-                }
-                // Stage 4 — happens-before: a must-ordered pair is
-                // synchronized, not racy. Same bit-test shape as MHP; the
-                // pair folds into the FL0005 group and skips both the
-                // lockset memo and the alias confirmation.
-                if fsam.hb.ordered_stmt(s, a) {
-                    stats.killed_hb += 1;
-                    match &mut hb_group {
-                        Some(g) => g.instances += 1,
-                        None => {
-                            hb_group = Some(RaceGroup {
-                                obj: o,
-                                rep: RacePair {
-                                    store: s,
-                                    access: a,
-                                    obj: o,
-                                },
-                                instances: 1,
-                            })
-                        }
-                    }
-                    continue;
-                }
-                // Stage 5 — lockset: some parallel instance pair must
-                // lack a common lock.
-                let racy = *racy_memo
-                    .entry((s, a))
-                    .or_insert_with(|| fsam::racy_instances(fsam, oracle, s, a));
-                if !racy {
-                    stats.killed_lockset += 1;
-                    continue;
-                }
-                // Stage 6 — flow-sensitive alias confirmation.
-                let slot = if fs_has(s, o) && fs_has(a, o) {
-                    &mut conf_group
-                } else {
-                    stats.killed_alias += 1;
-                    &mut hb_group
-                };
-                match slot {
-                    Some(g) => g.instances += 1,
-                    None => {
-                        *slot = Some(RaceGroup {
-                            obj: o,
-                            rep: RacePair {
-                                store: s,
-                                access: a,
-                                obj: o,
-                            },
-                            instances: 1,
-                        })
-                    }
-                }
+        let mut probed: HashMap<PtsRef, bool> = HashMap::new();
+        for (k1, k2, n, rep) in pairs {
+            // Stage 3 — MHP, one bit test per bucket pair.
+            if !matches!((k1.mhp, k2.mhp), (Some(r1), Some(r2)) if rel.parallel_regions(r1, r2)) {
+                stats.killed_mhp += n;
+                continue;
+            }
+            // Stage 4 — happens-before: a must-ordered pair is
+            // synchronized, not racy; it folds into the FL0005 group.
+            if matches!((k1.hb, k2.hb), (Some(r1), Some(r2)) if fsam.hb.ordered_regions(r1, r2)) {
+                stats.killed_hb += n;
+                absorb(&mut hb_group, o, rep, n);
+                continue;
+            }
+            // Stage 5 — lockset, only between two locked sites (both
+            // buckets are that one site, so `rep` is the pair).
+            let locked_pair = k1.lock.and(k2.lock).is_some();
+            if locked_pair && !fsam::racy_instances(fsam, oracle, rep.0, rep.1) {
+                stats.killed_lockset += n;
+                continue;
+            }
+            // Stage 6 — flow-sensitive alias confirmation.
+            let mut has = |c: Option<PtsRef>| {
+                c.is_some_and(|c| *probed.entry(c).or_insert_with(|| pool.contains(c, o)))
+            };
+            if has(k1.class) && has(k2.class) {
+                absorb(&mut conf_group, o, rep, n);
+            } else {
+                stats.killed_alias += n;
+                absorb(&mut hb_group, o, rep, n);
             }
         }
+        class_probes += probed.len() as u64;
         if let Some(g) = conf_group {
             stats.confirmed += g.instances;
             confirmed.push(g);
@@ -324,9 +319,9 @@ pub fn reduce(
     recorder.counter(None, "lint.confirmed", stats.confirmed);
     recorder.counter(None, "lint.confirmed_groups", stats.confirmed_groups);
     recorder.counter(None, "lint.hb_groups", stats.hb_groups);
-    let alias_classes: HashSet<PtsRef> = class.values().filter_map(|c| *c).collect();
+    let alias_classes: HashSet<PtsRef> = keys.values().filter_map(|k| k.class).collect();
     recorder.counter(None, "lint.alias_classes", alias_classes.len() as u64);
-    recorder.counter(None, "lint.class_probes", fs_memo.len() as u64);
+    recorder.counter(None, "lint.class_probes", class_probes);
 
     Reduction {
         confirmed,

@@ -213,8 +213,11 @@ pub fn detect_deadlocks(module: &Module, fsam: &Fsam, engine: &QueryEngine) -> V
     out
 }
 
-/// Engine-backed instrumentation planning; result-identical to
-/// [`fsam::plan_instrumentation`], with the MHP facts batched.
+/// Engine-backed instrumentation planning ([`fsam::instrument`]): an
+/// access is instrumented when some store/access pair on a common shared
+/// object may happen in parallel (HB-refined, batched through the engine)
+/// and is not consistently lock-protected. Every access [`detect_races`]
+/// reports is instrumented.
 pub fn plan_instrumentation(
     module: &Module,
     fsam: &Fsam,

@@ -19,8 +19,9 @@
 //! common lock and the store is not a span tail or the access is not a span
 //! head: mutual exclusion then guarantees the value is overwritten or
 //! already redefined before the other span can observe it. Only pairs of
-//! *protected* statements ([`LockAnalysis::protected_stmts`]) can qualify,
-//! so the value-flow phase runs the test on those alone.
+//! *locked* statements ([`LockAnalysis::locked_stmts`]) can qualify, so
+//! the value-flow phase and the race reducer run their lock tests on those
+//! alone.
 
 use std::collections::{HashMap, HashSet};
 
@@ -297,15 +298,18 @@ impl LockAnalysis {
         spans.filter(move |span| held.binary_search(&span.lock).is_ok())
     }
 
-    /// The statements with an instance inside a span whose lock is
-    /// must-held there: for every other statement,
-    /// [`non_interference`](Self::non_interference) is false.
-    pub fn protected_stmts(&self, icfg: &Icfg) -> HashSet<StmtId> {
-        let protected = |i: &&Instance| self.guarding_spans(icfg, **i).next().is_some();
-        self.membership
-            .keys()
-            .filter(protected)
-            .map(|i| i.2)
+    /// The statements with an instance whose must-held lockset is
+    /// non-empty. For every other statement,
+    /// [`commonly_protected`](Self::commonly_protected) and
+    /// [`non_interference`](Self::non_interference) are false: a guarding
+    /// span's lock is must-held.
+    pub fn locked_stmts(&self, icfg: &Icfg) -> HashSet<StmtId> {
+        (self.held.iter())
+            .filter(|(_, held)| !held.is_empty())
+            .filter_map(|(&(_, _, n), _)| match icfg.kind(n) {
+                NodeKind::Stmt(s) => Some(s),
+                _ => None,
+            })
             .collect()
     }
 

@@ -6,8 +6,8 @@
 //! finds every MHP instance pair non-interfering. The flows come out as
 //! complete store × access classes ([`ThreadGroup`]): a store reaches the
 //! accesses in the MHP regions parallel to its own, so all stores of a
-//! region share one access set. Only pairs of *protected* statements
-//! ([`LockAnalysis::protected_stmts`]) get the lock test, and a store that
+//! region share one access set. Only pairs of *locked* statements
+//! ([`LockAnalysis::locked_stmts`]) get the lock test, and a store that
 //! loses accesses gets a class of its own.
 //!
 //! The *No-Value-Flow* ablation of Figure 12 (`blind` mode) disregards the
@@ -146,8 +146,8 @@ pub struct ValueFlowPlan<'a> {
     oracle: &'a (dyn MhpOracle + Sync),
     rel: &'a MhpRelation,
     lock: Option<&'a LockAnalysis>,
-    /// [`LockAnalysis::protected_stmts`], empty without a lock analysis.
-    protected: HashSet<StmtId>,
+    /// [`LockAnalysis::locked_stmts`], empty without a lock analysis.
+    locked: HashSet<StmtId>,
     stores_of: HashMap<MemId, Vec<StmtId>>,
     accesses_of: HashMap<MemId, Vec<StmtId>>,
     /// The shared, multiply-accessed objects, ascending — one work unit each.
@@ -180,7 +180,7 @@ impl<'a> ValueFlowPlan<'a> {
             oracle,
             rel,
             lock,
-            protected: lock.map_or_else(HashSet::new, |l| l.protected_stmts(icfg)),
+            locked: lock.map_or_else(HashSet::new, |l| l.locked_stmts(icfg)),
             stores_of,
             accesses_of,
             objects,
@@ -200,7 +200,7 @@ impl<'a> ValueFlowPlan<'a> {
         let mut out = ThreadValueFlow::default();
         // Every store is also an access, and not aliased with itself.
         out.stats.aliased_pairs = stores.len() * accesses.len() - stores.len();
-        let guarded = |x| self.protected.contains(&x);
+        let guarded = |x| self.locked.contains(&x);
         let keep = |s, a| !self.lock.is_some_and(|l| self.non_interfering(l, s, a, o));
         let accesses = regions(self.rel, accesses);
         out.add_classes(o, self.rel, stores, &accesses, guarded, keep);
@@ -238,8 +238,9 @@ impl<'a> ValueFlowPlan<'a> {
 }
 
 /// Per object: the stores that may write it and the loads/stores that may
-/// access it. Only store/load statements participate in [THREAD-VF].
-fn index_accesses(
+/// access it, each ascending. Only store/load statements participate in
+/// [THREAD-VF]; the race reducer indexes its candidates the same way.
+pub fn index_accesses(
     module: &Module,
     pre: &PreAnalysis,
 ) -> (HashMap<MemId, Vec<StmtId>>, HashMap<MemId, Vec<StmtId>>) {

@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    let engine = QueryEngine::from_fsam(&module, &fsam);
     if want_races || path.is_none() {
-        let engine = QueryEngine::from_fsam(&module, &fsam);
         let cx = LintContext::new(&module, &fsam, &engine);
         let report = Registry::with_default_checkers().run(&cx);
         println!("\n== concurrency checkers ==");
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if want_report {
         println!("\n{}", fsam.report(&module));
-        let plan = fsam::plan_instrumentation(&module, &fsam);
+        let plan = fsam_query::plan_instrumentation(&module, &fsam, &engine);
         println!(
             "ThreadSanitizer plan: instrument {} accesses, skip {} ({:.0}% reduction)",
             plan.instrument.len(),

@@ -138,9 +138,9 @@ fn parallel_speedup_reaches_two_x_on_eight_cores() {
 /// The factored lint path must stay cheap on the largest suite program:
 /// grouped diagnostics and the streamed SARIF writer mean neither the wall
 /// time nor the report size scales with the confirmed *pair* count
-/// (x264 at this scale confirms ~1.7k pairs but reports 19 groups).
+/// (x264 at this scale confirms 302 pairs but reports 11 groups).
 ///
-/// Measured at smoke scale: ~31 ms / 25,706 SARIF bytes (debug). The time
+/// Measured at smoke scale: ~6 ms / 12,591 SARIF bytes (debug). The time
 /// ceiling is debug-aware and generous against CI noise; the byte ceiling
 /// is tight because the output is seeded and deterministic.
 #[test]

@@ -10,11 +10,13 @@
 //!   sync program, under both MHP backends with the lock analysis on and
 //!   off, and in blind (*No-Value-Flow*) mode;
 //! * **invariant** — the class construction skips the lock test unless both
-//!   statements are protected. That is exact only because every
-//!   region-parallel pair has at least one MHP instance pair (otherwise
-//!   Definition 6 would hold vacuously and drop the pair). A counterexample
-//!   would make the classes keep a flow the reference drops — sound, but a
-//!   change to report, not to paper over.
+//!   statements are locked, and so does the race reducer of `fsam-lint`.
+//!   That is exact only because every region-parallel pair has at least
+//!   one MHP instance pair (otherwise Definition 6 would hold vacuously and
+//!   drop the pair, and `racy_instances` would be false). It is checked on
+//!   the reducer's object set, which adds shared objects with a single
+//!   access. A counterexample would make the classes keep a flow the
+//!   reference drops — sound, but a change to report, not to paper over.
 //!
 //! The scale-0.32 cases run only in release builds (CI runs
 //! `cargo test --release --test thread_flows`).
@@ -83,16 +85,23 @@ fn index_accesses(m: &Module, pre: &PreAnalysis) -> (AccessIndex, AccessIndex) {
     (stores, accesses)
 }
 
-/// The objects the value-flow phase considers, with their stores and
-/// accesses: shared across threads and accessed at least twice.
-fn shared_objects(m: &Module, f: &Fsam) -> Vec<(MemId, Vec<StmtId>, Vec<StmtId>)> {
+/// The shared objects with a store and at least `min_accesses` accesses,
+/// with their stores and accesses. The value-flow phase considers those
+/// accessed at least twice; the race reducer (`fsam-lint`) also those with
+/// a single access, a store whose only pair is with itself.
+fn shared_objects(
+    m: &Module,
+    f: &Fsam,
+    min_accesses: usize,
+) -> Vec<(MemId, Vec<StmtId>, Vec<StmtId>)> {
     let shared = SharedObjects::compute(m, &f.pre);
     let (stores_of, mut accesses_of) = index_accesses(m, &f.pre);
     stores_of
         .into_iter()
         .filter_map(|(o, stores)| {
             let accesses = accesses_of.remove(&o).unwrap_or_default();
-            (accesses.len() >= 2 && shared.is_shared(&f.pre, o)).then_some((o, stores, accesses))
+            (accesses.len() >= min_accesses && shared.is_shared(&f.pre, o))
+                .then_some((o, stores, accesses))
         })
         .collect()
 }
@@ -141,7 +150,7 @@ fn reference(m: &Module, f: &Fsam, blind: bool) -> (Vec<ThreadGroup>, ValueFlowS
             }
         }
     } else {
-        for (o, stores, accesses) in shared_objects(m, f) {
+        for (o, stores, accesses) in shared_objects(m, f, 2) {
             stats.shared_objects += 1;
             for &s in &stores {
                 for &a in &accesses {
@@ -220,11 +229,13 @@ fn assert_identity(name: &str, m: &Module, config: PhaseConfig) -> ValueFlowStat
 
 /// Asserts that every region-parallel store × access pair of a shared
 /// object has an MHP instance pair; returns the number of pairs checked.
+/// The objects are the race reducer's, a superset of the value-flow
+/// phase's: both skip their lock tests on a pair with an unlocked side.
 fn assert_parallel_pairs_have_mhp_instances(name: &str, m: &Module, config: PhaseConfig) -> usize {
     let f = Fsam::analyze_with(m, config);
     let oracle = f.mhp.oracle();
     let mut pairs = 0;
-    for (o, stores, accesses) in shared_objects(m, &f) {
+    for (o, stores, accesses) in shared_objects(m, &f, 1) {
         for &s in &stores {
             let is1 = oracle.instances(s);
             for &a in &accesses {
