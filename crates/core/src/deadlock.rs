@@ -224,7 +224,7 @@ mod tests {
             };
             for &s_ab in sites_ab {
                 for &s_ba in sites_ba {
-                    if fsam.mhp_rel.mhp_stmt(s_ab, s_ba) && seen.insert((a, b, s_ab, s_ba)) {
+                    if fsam.mhp_rel.related(s_ab, s_ba) && seen.insert((a, b, s_ab, s_ba)) {
                         out.push(Deadlock {
                             lock_a: a,
                             lock_b: b,

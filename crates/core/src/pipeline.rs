@@ -33,7 +33,7 @@ use fsam_threads::hb::HbFacts;
 use fsam_threads::interleave::Interleaving;
 use fsam_threads::lock::LockAnalysis;
 use fsam_threads::mhp::MhpBackend;
-use fsam_threads::relation::MhpRelation;
+use fsam_threads::relation::{MhpRelation, MHP_COUNTERS};
 use fsam_threads::valueflow::{self, ValueFlowPlan, ValueFlowStats};
 use fsam_threads::{ProcMhp, ThreadModel};
 use fsam_trace::{FieldValue, Recorder};
@@ -395,7 +395,7 @@ impl<'m> Pipeline<'m> {
         Arc::clone(slot.get_or_init(|| {
             let span = self.trace.span("stage.mhp_relation");
             let rel = mhp.relation();
-            rel.export_trace(&span);
+            rel.export_trace(&span, MHP_COUNTERS);
             Arc::new(rel)
         }))
     }
@@ -707,7 +707,7 @@ impl Fsam {
     /// only if the raw MHP relation says it can interleave *and* no
     /// condvar/barrier/atomic synchronization chain orders it.
     pub fn mhp_refined(&self, s1: fsam_ir::StmtId, s2: fsam_ir::StmtId) -> bool {
-        self.mhp_rel.mhp_stmt_refined(s1, s2, &self.hb)
+        self.mhp_rel.related(s1, s2) && !self.hb.related(s1, s2)
     }
 
     /// Memory held by analysis state, broken down by category (the Table 2

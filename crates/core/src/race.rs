@@ -126,7 +126,7 @@ mod tests {
                     if store_set.contains(&a) && s > a {
                         continue;
                     }
-                    if !fsam.mhp_rel.mhp_stmt(s, a) {
+                    if !fsam.mhp_rel.related(s, a) {
                         continue;
                     }
                     if racy_instances(fsam, oracle, s, a) {

@@ -269,13 +269,13 @@ pub fn reduce(
         let mut probed: HashMap<PtsRef, bool> = HashMap::new();
         for (k1, k2, n, rep) in pairs {
             // Stage 3 — MHP, one bit test per bucket pair.
-            if !matches!((k1.mhp, k2.mhp), (Some(r1), Some(r2)) if rel.parallel_regions(r1, r2)) {
+            if !matches!((k1.mhp, k2.mhp), (Some(r1), Some(r2)) if rel.related_regions(r1, r2)) {
                 stats.killed_mhp += n;
                 continue;
             }
             // Stage 4 — happens-before: a must-ordered pair is
             // synchronized, not racy; it folds into the FL0005 group.
-            if matches!((k1.hb, k2.hb), (Some(r1), Some(r2)) if fsam.hb.ordered_regions(r1, r2)) {
+            if matches!((k1.hb, k2.hb), (Some(r1), Some(r2)) if fsam.hb.related_regions(r1, r2)) {
                 stats.killed_hb += n;
                 absorb(&mut hb_group, o, rep, n);
                 continue;

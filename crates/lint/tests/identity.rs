@@ -64,12 +64,12 @@ fn reference_races(module: &Module, fsam: &Fsam) -> Vec<(StmtId, StmtId, MemId)>
                 if store_set.contains(&a) && s > a {
                     continue;
                 }
-                if !fsam.mhp_rel.mhp_stmt(s, a) {
+                if !fsam.mhp_rel.related(s, a) {
                     continue;
                 }
                 // Pairs must-ordered by condvar/barrier/atomic sync are
                 // synchronized, not racy (DESIGN §1.9).
-                if fsam.hb.ordered_stmt(s, a) {
+                if fsam.hb.related(s, a) {
                     continue;
                 }
                 if fsam::racy_instances(fsam, oracle, s, a) {

@@ -115,14 +115,14 @@ fn reference(
                     continue;
                 }
                 let parallel = match (region[&s], region[&a]) {
-                    (Some(r1), Some(r2)) => rel.parallel_regions(r1, r2),
+                    (Some(r1), Some(r2)) => rel.related_regions(r1, r2),
                     _ => false,
                 };
                 if !parallel {
                     stats.killed_mhp += 1;
                     continue;
                 }
-                if fsam.hb.ordered_stmt(s, a) {
+                if fsam.hb.related(s, a) {
                     stats.killed_hb += 1;
                     absorb_pair(&mut hb_group, s, a, o);
                     continue;

@@ -11,9 +11,8 @@
 //!   which hash-consing makes equal sets, answer true),
 //! * `aliases_of(o)` — the precomputed reverse index object → variables,
 //! * `mhp(s1, s2)` — the statement-level may-happen-in-parallel relation,
-//!   answered from an [`MhpRelation`] factored out of the frozen
-//!   [`MhpFacts`] at construction and refined by the snapshot's
-//!   happens-before facts: two region lookups and one bit test per
+//!   answered from the snapshot's [`MhpRelation`] as stored and refined by
+//!   its happens-before facts: two region lookups and one bit test per
 //!   relation, no per-pair memoisation needed because no per-pair work
 //!   remains.
 //!
@@ -21,13 +20,11 @@
 //! the slab in request order. The engine keeps no answer cache: a direct
 //! intersection of two pooled sets is cheaper than a hash probe (DESIGN.md
 //! §1.2 has the measurement).
-//!
-//! [`MhpFacts`]: fsam_threads::MhpFacts
 
 use fsam::Fsam;
 use fsam_ir::{Module, StmtId, VarId};
 use fsam_pts::{MemId, MemoryMeter, PtsRef, PtsSet};
-use fsam_threads::MhpRelation;
+use fsam_threads::relation::{MhpRelation, MHP_COUNTERS};
 
 use crate::snapshot::{lookup_var, name_order, AnalysisDb};
 
@@ -96,9 +93,6 @@ pub struct QueryEngine {
     /// Variable indices sorted by `(function, name)` for allocation-free
     /// binary-search lookup in [`var_named`](QueryEngine::var_named).
     name_order: Vec<u32>,
-    /// The snapshot's MHP facts factored into region×region bitmatrix
-    /// form; rebuilt from the serialized facts on load, never persisted.
-    rel: MhpRelation,
 }
 
 static EMPTY_SET: PtsSet = PtsSet::new();
@@ -107,12 +101,7 @@ impl QueryEngine {
     /// Wraps a database (typically loaded with [`AnalysisDb::load`]).
     pub fn new(db: AnalysisDb) -> QueryEngine {
         let name_order = name_order(db.var_names());
-        let rel = db.mhp().relation();
-        QueryEngine {
-            db,
-            name_order,
-            rel,
-        }
+        QueryEngine { db, name_order }
     }
 
     /// Captures a live run and wraps it in one step.
@@ -160,14 +149,14 @@ impl QueryEngine {
     }
 
     /// Whether `s1` and `s2` may happen in parallel — two region lookups
-    /// and one bit test on the factored [`MhpRelation`], refined by the
+    /// and one bit test on the snapshot's [`MhpRelation`], refined by the
     /// snapshot's happens-before facts: a pair must-ordered by a
     /// condvar/barrier/atomic synchronization chain answers `false` even
     /// when the raw interleaving relation allows it. Symmetric. On a
     /// snapshot without sync intrinsics the HB facts are empty and this
     /// is bit-identical to the raw relation.
     pub fn mhp(&self, s1: StmtId, s2: StmtId) -> bool {
-        self.rel.mhp_stmt_refined(s1, s2, self.db.hb())
+        self.db.mhp().related(s1, s2) && !self.db.hb().related(s1, s2)
     }
 
     /// The snapshot's happens-before facts (factored region form).
@@ -180,7 +169,7 @@ impl QueryEngine {
     /// lint reducer's MHP stage) can fetch statement regions once and
     /// test region pairs directly.
     pub fn mhp_relation(&self) -> &MhpRelation {
-        &self.rel
+        self.db.mhp()
     }
 
     /// The interned points-to equivalence class of `v`: the hash-consed
@@ -247,23 +236,19 @@ impl QueryEngine {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "query engine statistics");
-        let _ = writeln!(
-            out,
-            "  mhp   factored: {} stmts -> {} regions, {}/{} matrix bits set",
-            self.rel.stmt_count(),
-            self.rel.region_count(),
-            self.rel.parallel_bits(),
-            self.rel.matrix_bits(),
-        );
-        let hb = self.db.hb();
-        let _ = writeln!(
-            out,
-            "  hb    factored: {} stmts -> {} regions, {}/{} ordered bits set",
-            hb.stmt_count(),
-            hb.region_count(),
-            hb.ordered_bits(),
-            hb.matrix_bits(),
-        );
+        for (name, rel, set) in [
+            ("mhp", self.db.mhp(), "matrix"),
+            ("hb", &**self.db.hb(), "ordered"),
+        ] {
+            let _ = writeln!(
+                out,
+                "  {name:<5} factored: {} stmts -> {} regions, {}/{} {set} bits set",
+                rel.stmt_count(),
+                rel.region_count(),
+                rel.related_bits(),
+                rel.matrix_bits(),
+            );
+        }
         out
     }
 
@@ -272,13 +257,13 @@ impl QueryEngine {
     /// happens-before facts' (`hb.*`) into a trace span, under the same
     /// stream the pipeline and solver feed.
     pub fn export_trace(&self, span: &fsam_trace::Span<'_>) {
-        self.rel.export_trace(span);
+        self.db.mhp().export_trace(span, MHP_COUNTERS);
         self.db.hb().export_trace(span);
     }
 
-    /// Approximate heap held by the engine, by category: the snapshot
-    /// tables, the name-lookup index, the factored MHP relation and the
-    /// happens-before facts.
+    /// Approximate heap held by the engine, by disjoint categories: the
+    /// snapshot's points-to and name tables, the name-lookup index, the MHP
+    /// relation and the happens-before facts.
     pub fn memory(&self) -> MemoryMeter {
         let mut m = MemoryMeter::default();
         m.add("snapshot", self.db.heap_bytes());
@@ -286,7 +271,7 @@ impl QueryEngine {
             "name-index",
             self.name_order.capacity() * std::mem::size_of::<u32>(),
         );
-        m.add("mhp-relation", self.rel.heap_bytes());
+        m.add("mhp-relation", self.db.mhp().heap_bytes());
         m.add("hb-facts", self.db.hb().heap_bytes());
         m
     }
@@ -429,12 +414,42 @@ mod tests {
         assert!(regions >= 1);
         assert_eq!(
             find("mhp.region_stmts"),
-            Some(engine.rel.stmt_count() as u64)
+            Some(engine.mhp_relation().stmt_count() as u64)
         );
         assert_eq!(
             find("hb.region_stmts"),
             Some(engine.db.hb().stmt_count() as u64)
         );
+    }
+
+    /// The memory categories do not overlap: each relation is counted once,
+    /// under its own category, and `snapshot` excludes both — it is the same
+    /// for a capture whose relations are empty.
+    #[test]
+    fn memory_counts_each_relation_once() {
+        let m = fsam_suite::SyncProgram::ProducerConsumer.generate(fsam_suite::Scale::SMOKE);
+        let mut fsam = Fsam::analyze(&m);
+        let engine = QueryEngine::from_fsam(&m, &fsam);
+        assert!(engine.hb().region_count() > 0, "HB is non-empty here");
+        let meter = engine.memory();
+        let category = |meter: &MemoryMeter, name: &str| {
+            let mut found = meter.categories().filter(|&(c, _)| c == name);
+            let (_, bytes) = found.next().expect("category present");
+            assert!(found.next().is_none(), "{name} counted twice");
+            bytes
+        };
+        let mhp = category(&meter, "mhp-relation");
+        let hb = category(&meter, "hb-facts");
+        assert_eq!(mhp, engine.mhp_relation().heap_bytes());
+        assert_eq!(hb, engine.hb().heap_bytes());
+        assert!(mhp > 0 && hb > 0);
+        let parts = category(&meter, "snapshot") + category(&meter, "name-index") + mhp + hb;
+        assert_eq!(meter.total_bytes(), parts);
+
+        fsam.mhp_rel = std::sync::Arc::new(MhpRelation::default());
+        fsam.hb = std::sync::Arc::new(fsam_threads::HbFacts::empty());
+        let bare = QueryEngine::from_fsam(&m, &fsam).memory();
+        assert_eq!(category(&bare, "snapshot"), category(&meter, "snapshot"));
     }
 
     #[test]

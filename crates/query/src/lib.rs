@@ -5,7 +5,7 @@
 //! This crate decouples *consuming* an analysis from *running* it:
 //!
 //! * [`AnalysisDb`] freezes a solved [`Fsam`](fsam::Fsam) run — interned
-//!   points-to tables, statement-level MHP facts, name tables — into a
+//!   points-to tables, the MHP and HB region relations, name tables — into a
 //!   self-contained value with a versioned, checksummed binary form
 //!   ([`AnalysisDb::save`] / [`AnalysisDb::load`]). Corrupt, truncated or
 //!   wrong-version files come back as typed [`SnapshotError`]s, never

@@ -8,10 +8,11 @@
 //! * the interned points-to pool (the set table, in stable handle order),
 //! * the per-variable and per-definition handle tables of
 //!   [`SparseResult`],
-//! * the statement-level MHP facts exported by the thread phase
-//!   ([`MhpFacts`]),
-//! * the factored happens-before facts ([`HbFacts`]) refining `mhp`
-//!   answers by must-ordering (condvar/barrier/atomic chains),
+//! * the statement-level MHP relation ([`MhpRelation`]), in the region
+//!   form the pipeline factored it into,
+//! * the happens-before facts ([`HbFacts`]), the same region form,
+//!   refining `mhp` answers by must-ordering (condvar/barrier/atomic
+//!   chains),
 //! * the module's name tables (per-variable `(function, name)` pairs and
 //!   per-object display names), so queries by name and [`Race`]-style
 //!   rendering survive the module itself.
@@ -24,14 +25,20 @@
 //! └──────────┴─────────┴─────────────┴──────────┴──────────────────┘
 //! ```
 //!
+//! The payload holds, in order: the pool's set table, the handle tables,
+//! the solver statistics, the MHP relation, the HB relation with its two
+//! clock dimensions, and the name tables. Both relations use one encoding
+//! (`put_relation`): the dense statement → region map as one `u32` list
+//! (`u32::MAX` = no region), the region count, and the row-major bitmatrix
+//! words.
+//!
 //! The checksum covers the payload; the header length and the file length
 //! must agree exactly. Every failure mode — short file, flipped byte, wrong
 //! version, internally inconsistent tables — surfaces as a typed
 //! [`SnapshotError`], never a panic: the payload decoder is bounds-checked
 //! ([`crate::codec`]) and the rebuilt tables are re-validated by
 //! [`PtsPool::from_sets`], [`SparseResult::from_tables`] and
-//! [`MhpFacts`]'s `from_*_parts` constructors and
-//! [`HbFacts::from_parts`].
+//! [`RegionRelation::from_parts`].
 //!
 //! [`Race`]: fsam::Race
 
@@ -39,21 +46,21 @@ use std::path::Path;
 
 use fsam::solver::SolverStats;
 use fsam::{Fsam, SparseResult};
-use fsam_ir::{Module, StmtId, VarId};
+use fsam_ir::{Module, VarId};
 use fsam_pts::{MemId, PtsPool, PtsSet};
 use fsam_threads::hb::HbFacts;
-use fsam_threads::MhpFacts;
+use fsam_threads::{MhpRelation, RegionRelation};
 
 use crate::codec::{fnv1a, CodecError, Reader, Writer};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FSAMQDB\0";
 
-/// The format version this build reads and writes. Version 2 added the
-/// happens-before section (factored [`HbFacts`]) between the MHP facts
-/// and the name tables; version-1 files are rejected with a typed
+/// The format version this build reads and writes. Version 3 stores MHP as
+/// its region relation, in the same encoding as the happens-before section
+/// version 2 added; older files are rejected with a typed
 /// [`SnapshotError::Version`], never misread.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be saved or loaded.
 #[derive(Debug)]
@@ -130,7 +137,7 @@ impl From<CodecError> for SnapshotError {
 #[derive(Debug)]
 pub struct AnalysisDb {
     result: SparseResult,
-    mhp: MhpFacts,
+    mhp: MhpRelation,
     hb: HbFacts,
     /// `(function name, variable name)` per [`VarId::index`].
     var_names: Vec<(String, String)>,
@@ -157,7 +164,7 @@ impl AnalysisDb {
     /// building the derived reverse index.
     pub fn new(
         result: SparseResult,
-        mhp: MhpFacts,
+        mhp: MhpRelation,
         hb: HbFacts,
         var_names: Vec<(String, String)>,
         obj_names: Vec<String>,
@@ -197,8 +204,8 @@ impl AnalysisDb {
     }
 
     /// Captures a solved run into a self-contained database. The module
-    /// supplies the name tables; the points-to tables and MHP facts come
-    /// from the run itself.
+    /// supplies the name tables; the points-to tables and the MHP and HB
+    /// relations come from the run itself.
     pub fn capture(module: &Module, fsam: &Fsam) -> AnalysisDb {
         let src = &fsam.result;
         let pool = PtsPool::from_sets(src.pool().sets().cloned())
@@ -227,7 +234,7 @@ impl AnalysisDb {
             .collect();
         AnalysisDb::new(
             result,
-            fsam.mhp.export_facts(),
+            (*fsam.mhp_rel).clone(),
             (*fsam.hb).clone(),
             var_names,
             obj_names,
@@ -240,8 +247,8 @@ impl AnalysisDb {
         &self.result
     }
 
-    /// The frozen statement-level MHP facts.
-    pub fn mhp(&self) -> &MhpFacts {
+    /// The frozen statement-level MHP relation (factored region form).
+    pub fn mhp(&self) -> &MhpRelation {
         &self.mhp
     }
 
@@ -266,7 +273,9 @@ impl AnalysisDb {
         self.aliased_by.get(o.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Approximate heap bytes of the retained tables (memory metering).
+    /// Approximate heap bytes of the points-to, name and reverse-index
+    /// tables (memory metering). The MHP and HB relations are not included:
+    /// [`crate::QueryEngine::memory`] meters each under its own category.
     pub fn heap_bytes(&self) -> usize {
         let names: usize = self
             .var_names
@@ -282,7 +291,7 @@ impl AnalysisDb {
             .map(|v| v.capacity() * std::mem::size_of::<VarId>())
             .sum::<usize>()
             + self.aliased_by.capacity() * std::mem::size_of::<Vec<VarId>>();
-        self.result.pts_bytes() + names + index + self.hb.heap_bytes()
+        self.result.pts_bytes() + names + index
     }
 
     // ---- serialization ----------------------------------------------------
@@ -320,53 +329,9 @@ impl AnalysisDb {
         ] {
             w.put_u64(v as u64);
         }
-        // MHP facts.
-        let executors = self.mhp.executor_entries();
-        let multi = self.mhp.multi_flags();
-        w.put_u32(u32::try_from(executors.len()).expect("too many executor entries"));
-        for (stmt, threads) in &executors {
-            w.put_u32(*stmt);
-            w.put_u32s(threads);
-        }
-        w.put_u32(u32::try_from(multi.len()).expect("too many threads"));
-        for &m in multi {
-            w.put_u8(u8::from(m));
-        }
-        match self.mhp.alive_entries() {
-            Some(alive) => {
-                w.put_u8(0); // interleaving backend
-                w.put_u32(u32::try_from(alive.len()).expect("too many alive entries"));
-                for (t, s, ids) in &alive {
-                    w.put_u32(*t);
-                    w.put_u32(*s);
-                    w.put_u32s(ids);
-                }
-            }
-            None => {
-                w.put_u8(1); // PCG backend
-                let matrix = self
-                    .mhp
-                    .concurrent_matrix()
-                    .expect("PCG facts have a matrix");
-                for row in matrix {
-                    for &cell in row {
-                        w.put_u8(u8::from(cell));
-                    }
-                }
-            }
-        }
-        // Happens-before facts (factored region form; `words` is derived
-        // from the region count on load, never stored).
-        let hb_entries = self.hb.entries();
-        w.put_u32(u32::try_from(hb_entries.len()).expect("too many HB entries"));
-        for (stmt, region) in &hb_entries {
-            w.put_u32(*stmt);
-            w.put_u32(*region);
-        }
-        w.put_u32(u32::try_from(self.hb.region_count()).expect("too many HB regions"));
-        for &word in self.hb.bit_words() {
-            w.put_u64(word);
-        }
+        // MHP and HB relations.
+        put_relation(&mut w, &self.mhp);
+        put_relation(&mut w, &self.hb);
         w.put_u32(self.hb.thread_count());
         w.put_u32(self.hb.chain_event_count());
         // Name tables.
@@ -469,81 +434,12 @@ impl AnalysisDb {
         };
         let result = SparseResult::from_tables(pool, pt_vars, slot_base, slot_obj, slot_out, stats)
             .map_err(SnapshotError::Malformed)?;
-        // MHP facts.
-        let executor_count = r.read_count(8)?;
-        let mut executors = Vec::with_capacity(executor_count);
-        for _ in 0..executor_count {
-            let stmt = r.u32()?;
-            let threads = r.u32s()?;
-            executors.push((stmt, threads));
-        }
-        let multi_count = r.read_count(1)?;
-        let mut multi = Vec::with_capacity(multi_count);
-        for _ in 0..multi_count {
-            multi.push(r.u8()? != 0);
-        }
-        let mhp = match r.u8()? {
-            0 => {
-                let alive_count = r.read_count(12)?;
-                let mut alive = Vec::with_capacity(alive_count);
-                for _ in 0..alive_count {
-                    let t = r.u32()?;
-                    let s = r.u32()?;
-                    let ids = r.u32s()?;
-                    alive.push((t, s, ids));
-                }
-                MhpFacts::from_interleaving_parts(executors, multi, alive)
-            }
-            1 => {
-                let n = multi.len();
-                let mut matrix = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        row.push(r.u8()? != 0);
-                    }
-                    matrix.push(row);
-                }
-                MhpFacts::from_pcg_parts(executors, multi, matrix)
-            }
-            tag => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown MHP backend tag {tag}"
-                )))
-            }
-        }
-        .map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        // Happens-before facts.
-        let hb_entry_count = r.read_count(8)?;
-        let mut hb_entries = Vec::with_capacity(hb_entry_count);
-        for _ in 0..hb_entry_count {
-            let stmt = r.u32()?;
-            let region = r.u32()?;
-            hb_entries.push((stmt, region));
-        }
-        let hb_regions = r.u32()?;
-        let hb_words = (hb_regions as usize).div_ceil(64);
-        let hb_word_count = (hb_regions as usize).saturating_mul(hb_words);
-        if hb_word_count.saturating_mul(8) > r.remaining() {
-            return Err(SnapshotError::Malformed(format!(
-                "HB bitmatrix of {hb_word_count} words exceeds the payload"
-            )));
-        }
-        let mut hb_bits = Vec::with_capacity(hb_word_count);
-        for _ in 0..hb_word_count {
-            hb_bits.push(r.u64()?);
-        }
+        // MHP and HB relations.
+        let mhp = read_relation(&mut r, "MHP")?;
+        let hb_rel = read_relation(&mut r, "HB")?;
         let hb_threads = r.u32()?;
         let hb_chain_events = r.u32()?;
-        let hb = HbFacts::from_parts(
-            hb_entries,
-            hb_regions,
-            u32::try_from(hb_words).expect("word count fits u32"),
-            hb_bits,
-            hb_threads,
-            hb_chain_events,
-        )
-        .map_err(|e| SnapshotError::Malformed(e.to_string()))?;
+        let hb = HbFacts::from_relation(hb_rel, hb_threads, hb_chain_events);
         // Name tables.
         let var_count = r.read_count(8)?;
         let mut var_names = Vec::with_capacity(var_count);
@@ -601,9 +497,33 @@ pub(crate) fn name_order(names: &[(String, String)]) -> Vec<u32> {
     order
 }
 
-/// The statement-level MHP pairs stored in the database, `s1 ≤ s2`.
-pub fn mhp_pairs(db: &AnalysisDb) -> impl Iterator<Item = (StmtId, StmtId)> + '_ {
-    db.mhp().mhp_pairs()
+/// Writes a region relation: its dense statement → region map, its region
+/// count and its row-major bitmatrix words (the row width is derived from
+/// the region count on load, never stored).
+fn put_relation(w: &mut Writer, rel: &RegionRelation) {
+    w.put_u32s(rel.region_map());
+    w.put_u32(u32::try_from(rel.region_count()).expect("too many regions"));
+    for &word in rel.bit_words() {
+        w.put_u64(word);
+    }
+}
+
+/// Reads and validates a relation written by [`put_relation`]; `what`
+/// names the section in errors.
+fn read_relation(r: &mut Reader<'_>, what: &str) -> Result<RegionRelation, SnapshotError> {
+    let region_of = r.u32s()?;
+    let regions = r.u32()?;
+    let words = (regions as usize).saturating_mul((regions as usize).div_ceil(64));
+    if words.saturating_mul(8) > r.remaining() {
+        return Err(SnapshotError::Malformed(format!(
+            "{what} bitmatrix of {words} words exceeds the payload"
+        )));
+    }
+    let bits = (0..words)
+        .map(|_| r.u64())
+        .collect::<Result<Vec<u64>, _>>()?;
+    RegionRelation::from_parts(region_of, regions, bits)
+        .map_err(|e| SnapshotError::Malformed(format!("{what}: {e}")))
 }
 
 #[cfg(test)]
@@ -665,6 +585,16 @@ mod tests {
         assert!(matches!(
             AnalysisDb::from_bytes(&bad),
             Err(SnapshotError::Version { found: 99, .. })
+        ));
+        // A version-2 file (enumerated MHP facts) is not misread.
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            AnalysisDb::from_bytes(&bad),
+            Err(SnapshotError::Version {
+                found: 2,
+                supported: 3
+            })
         ));
         // Truncated.
         assert!(matches!(

@@ -60,20 +60,18 @@
 //!
 //! # Factored form
 //!
-//! `ordered_stmt(s1, s2)` depends only on a small per-statement key: for
-//! each executor `t`, the index of the last chain event dominating the
-//! statement (whose clock is the statement's *pre-clock*) and the
-//! statement's completion certificate (`post`). Statements sharing a key
-//! are HB-indistinguishable, so — exactly like [`MhpRelation`] (PR 6's
-//! discipline) — the quadratic relation factors into a statement→region map
-//! plus a region×region symmetric bitmatrix. No statement×statement pair
-//! set is ever materialized.
+//! Whether `s1` and `s2` are ordered depends only on a small
+//! per-statement key: for each executor `t`, the index of the last chain
+//! event dominating the statement (whose clock is the statement's
+//! *pre-clock*) and the statement's completion certificate (`post`).
+//! Statements sharing a key are HB-indistinguishable, so the quadratic
+//! relation factors into the same [`RegionRelation`] MHP uses: a
+//! statement → region map plus a region × region symmetric bitmatrix. No
+//! statement × statement pair set is ever materialized.
 //!
-//! Modules containing no sync intrinsics gate to [`HbFacts::empty`], whose
-//! `ordered_stmt` is constantly `false`: downstream consumers behave
-//! bit-identically to the pre-HB pipeline on such programs.
-//!
-//! [`MhpRelation`]: crate::relation::MhpRelation
+//! Modules containing no sync intrinsics gate to [`HbFacts::empty`], which
+//! orders nothing: downstream consumers behave bit-identically to the
+//! pre-HB pipeline on such programs.
 
 use std::collections::HashMap;
 
@@ -82,6 +80,7 @@ use fsam_ir::dom::DomTree;
 use fsam_ir::{BlockId, FuncId, Module, StmtId, StmtKind, Terminator, VarId};
 
 use crate::model::{ThreadId, ThreadModel};
+use crate::relation::RegionRelation;
 
 /// A vector clock: one certificate per abstract thread. Component `u = v`
 /// claims that all of thread `u`'s timeline events with certificate ≤ `v`
@@ -154,77 +153,15 @@ impl VecClock {
     }
 }
 
-/// Validation failures of [`HbFacts::from_parts`], mirroring
-/// [`FactsError`](crate::facts::FactsError) for the MHP facts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HbError {
-    /// `words` is not `regions.div_ceil(64)`.
-    WordsMismatch {
-        /// Claimed region count.
-        regions: u32,
-        /// Claimed words-per-row.
-        words: u32,
-    },
-    /// The bit vector's length is not `regions × words`.
-    BitsLength {
-        /// Expected word count.
-        expected: usize,
-        /// Actual word count.
-        got: usize,
-    },
-    /// A statement entry names a region ≥ the region count.
-    RegionOutOfRange {
-        /// Raw statement id of the offending entry.
-        stmt: u32,
-        /// The out-of-range region.
-        region: u32,
-        /// Total region count.
-        regions: u32,
-    },
-}
-
-impl std::fmt::Display for HbError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HbError::WordsMismatch { regions, words } => {
-                write!(
-                    f,
-                    "hb matrix words {words} inconsistent with {regions} regions"
-                )
-            }
-            HbError::BitsLength { expected, got } => {
-                write!(f, "hb matrix has {got} words, expected {expected}")
-            }
-            HbError::RegionOutOfRange {
-                stmt,
-                region,
-                regions,
-            } => write!(
-                f,
-                "hb entry for stmt {stmt} names region {region} of {regions}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for HbError {}
-
-/// Statement-level must-happens-before factored as regions over a
-/// bitmatrix (module docs). `ordered_stmt(s1, s2)` means: in every
-/// execution, for each pair of distinct thread instances running the two
-/// statements, one statement's executions all complete before the other
-/// statement runs.
+/// Statement-level must-happens-before factored as a [`RegionRelation`]
+/// (module docs), which it dereferences to: `related(s1, s2)` means that in
+/// every execution, for each pair of distinct thread instances running the
+/// two statements, one statement's executions all complete before the other
+/// statement runs. Statements without a region (dead code, or an
+/// [`HbFacts::empty`] gate) answer `false`: no ordering is claimed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HbFacts {
-    /// Region of each statement of an executed function; statements of
-    /// dead functions are absent (never ordered with anything — they also
-    /// never run).
-    region_of: HashMap<StmtId, u32>,
-    regions: usize,
-    /// `u64` words per bitmatrix row.
-    words: usize,
-    /// Row-major `regions × regions` symmetric bitmatrix of ordered pairs.
-    bits: Vec<u64>,
+    rel: RegionRelation,
     /// Abstract-thread count the clocks were built over (trace counter).
     threads: u32,
     /// Total must-sync chain events across all threads (trace counter).
@@ -232,18 +169,11 @@ pub struct HbFacts {
 }
 
 impl HbFacts {
-    /// The no-knowledge relation: `ordered_stmt` is constantly `false`.
-    /// Produced for modules without sync intrinsics and by the `--no-hb`
-    /// ablation; consumers see the pre-HB pipeline bit-for-bit.
+    /// The no-knowledge relation: nothing is ordered. Produced for modules
+    /// without sync intrinsics and by the `--no-hb` ablation; consumers see
+    /// the pre-HB pipeline bit-for-bit.
     pub fn empty() -> HbFacts {
-        HbFacts {
-            region_of: HashMap::new(),
-            regions: 0,
-            words: 0,
-            bits: Vec::new(),
-            threads: 0,
-            chain_events: 0,
-        }
+        HbFacts::from_relation(RegionRelation::default(), 0, 0)
     }
 
     /// Builds the relation for `module`. Gates to [`HbFacts::empty`] when
@@ -257,46 +187,15 @@ impl HbFacts {
         analysis.factor(module, tm)
     }
 
-    /// The region of `s`, or `None` when `s` is in a dead function.
-    pub fn region_of(&self, s: StmtId) -> Option<u32> {
-        self.region_of.get(&s).copied()
-    }
-
-    /// One bit test: whether the two regions are must-ordered.
-    pub fn ordered_regions(&self, r1: u32, r2: u32) -> bool {
-        debug_assert!((r1 as usize) < self.regions && (r2 as usize) < self.regions);
-        self.bits[r1 as usize * self.words + r2 as usize / 64] & (1 << (r2 % 64)) != 0
-    }
-
-    /// Whether every cross-thread instance pair of `s1` and `s2` is
-    /// ordered by synchronization — two region lookups and a bit test.
-    /// Statements without a region (dead code, or an [`HbFacts::empty`]
-    /// gate) answer `false`: no ordering is claimed.
-    pub fn ordered_stmt(&self, s1: StmtId, s2: StmtId) -> bool {
-        match (self.region_of(s1), self.region_of(s2)) {
-            (Some(r1), Some(r2)) => self.ordered_regions(r1, r2),
-            _ => false,
+    /// Wraps an ordered-pair relation (built here, or decoded with
+    /// [`RegionRelation::from_parts`]) with the clock dimensions it was
+    /// solved over.
+    pub fn from_relation(rel: RegionRelation, threads: u32, chain_events: u32) -> HbFacts {
+        HbFacts {
+            rel,
+            threads,
+            chain_events,
         }
-    }
-
-    /// Number of regions (distinct HB-equivalence keys).
-    pub fn region_count(&self) -> usize {
-        self.regions
-    }
-
-    /// Number of statements mapped to a region.
-    pub fn stmt_count(&self) -> usize {
-        self.region_of.len()
-    }
-
-    /// Number of set (ordered) bits in the full `regions²` matrix.
-    pub fn ordered_bits(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Total bit capacity of the matrix (`regions²`).
-    pub fn matrix_bits(&self) -> usize {
-        self.regions * self.regions
     }
 
     /// Abstract-thread count the clocks span.
@@ -313,87 +212,32 @@ impl HbFacts {
     /// namespace, mirroring `mhp.*`: region/matrix sizes plus the clock
     /// dimensions, the evidence that no pair set was materialized.
     pub fn export_trace(&self, span: &fsam_trace::Span<'_>) {
-        span.counter("hb.regions", self.regions as u64);
-        span.counter("hb.region_stmts", self.stmt_count() as u64);
-        span.counter("hb.matrix_bits", self.matrix_bits() as u64);
-        span.counter("hb.ordered_bits", self.ordered_bits() as u64);
+        self.rel.export_trace(
+            span,
+            [
+                "hb.regions",
+                "hb.region_stmts",
+                "hb.matrix_bits",
+                "hb.ordered_bits",
+            ],
+        );
         span.counter("hb.threads", self.threads as u64);
         span.counter("hb.chain_events", self.chain_events as u64);
     }
+}
 
-    /// Approximate owned heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.bits.capacity() * size_of::<u64>()
-            + self.region_of.capacity()
-                * (size_of::<StmtId>() + size_of::<u32>() + size_of::<u64>())
-    }
+impl std::ops::Deref for HbFacts {
+    type Target = RegionRelation;
 
-    /// Statement→region entries sorted by raw statement id, for the
-    /// snapshot codec.
-    pub fn entries(&self) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = self.region_of.iter().map(|(s, &r)| (s.raw(), r)).collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The raw bitmatrix words, row-major.
-    pub fn bit_words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Reassembles a relation from its serialized parts, validating every
-    /// internal invariant so a corrupt snapshot cannot produce
-    /// out-of-bounds indexing at query time.
-    pub fn from_parts(
-        entries: Vec<(u32, u32)>,
-        regions: u32,
-        words: u32,
-        bits: Vec<u64>,
-        threads: u32,
-        chain_events: u32,
-    ) -> Result<HbFacts, HbError> {
-        if words as usize != (regions as usize).div_ceil(64) {
-            return Err(HbError::WordsMismatch { regions, words });
-        }
-        let expected = regions as usize * words as usize;
-        if bits.len() != expected {
-            return Err(HbError::BitsLength {
-                expected,
-                got: bits.len(),
-            });
-        }
-        let mut region_of = HashMap::with_capacity(entries.len());
-        for (stmt, region) in entries {
-            if region >= regions {
-                return Err(HbError::RegionOutOfRange {
-                    stmt,
-                    region,
-                    regions,
-                });
-            }
-            region_of.insert(StmtId::new(stmt), region);
-        }
-        Ok(HbFacts {
-            region_of,
-            regions: regions as usize,
-            words: words as usize,
-            bits,
-            threads,
-            chain_events,
-        })
+    fn deref(&self) -> &RegionRelation {
+        &self.rel
     }
 }
 
-/// The HB-equivalence key of one statement: per executor, which chain
-/// clock is its pre-clock and what its completion certificate is. The pair
-/// formula in [`keys_ordered`] reads nothing else.
-#[derive(Clone, Hash, PartialEq, Eq)]
-struct RegionKey {
-    /// `(raw thread id, pre-clock chain index, post certificate)` per
-    /// executor, in ascending thread order.
-    execs: Vec<(u32, u32, u32)>,
-}
+/// The HB-equivalence key of one statement: `(raw thread id, pre-clock
+/// chain index, post certificate)` per executor, in ascending thread order.
+/// The pair formula in [`keys_ordered`] reads nothing else.
+type RegionKey = Vec<(u32, u32, u32)>;
 
 /// The must-sync chain of one thread: chain events in dominance order,
 /// positions 1-based (`events[i-1]` is position `i`).
@@ -718,58 +562,23 @@ impl Analysis {
     /// Factors the solved clocks into an [`HbFacts`] (module docs).
     fn factor(&self, module: &Module, tm: &ThreadModel) -> HbFacts {
         let mut execs_of: HashMap<FuncId, Vec<ThreadId>> = HashMap::new();
-        let mut stmts: Vec<StmtId> = Vec::new();
-        for (sid, s) in module.stmts() {
+        let keyed = module.stmts().filter_map(|(s, st)| {
             let execs = execs_of
-                .entry(s.func)
-                .or_insert_with(|| tm.threads_executing(s.func));
-            if !execs.is_empty() {
-                stmts.push(sid);
-            }
-        }
-        stmts.sort_unstable();
-
-        let mut intern: HashMap<RegionKey, u32> = HashMap::new();
-        let mut keys: Vec<RegionKey> = Vec::new();
-        let mut region_of = HashMap::with_capacity(stmts.len());
-        for &s in &stmts {
-            let execs = &execs_of[&module.stmt(s).func];
-            let key = RegionKey {
-                execs: execs
-                    .iter()
-                    .map(|&t| {
-                        let (pre, post) = self.pre_post(module, tm, s, t.index());
-                        (t.0, pre, post)
-                    })
-                    .collect(),
-            };
-            let id = *intern.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                (keys.len() - 1) as u32
-            });
-            region_of.insert(s, id);
-        }
-
-        let regions = keys.len();
-        let words = regions.div_ceil(64);
-        let mut bits = vec![0u64; regions * words];
-        for r1 in 0..regions {
-            // The pair formula is symmetric; mirror the upper triangle.
-            for r2 in r1..regions {
-                if keys_ordered(&keys[r1], &keys[r2], &self.states, &self.multi) {
-                    bits[r1 * words + r2 / 64] |= 1 << (r2 % 64);
-                    bits[r2 * words + r1 / 64] |= 1 << (r1 % 64);
-                }
-            }
-        }
-        HbFacts {
-            region_of,
-            regions,
-            words,
-            bits,
-            threads: tm.len() as u32,
-            chain_events: self.chains.iter().map(|c| c.len() as u32).sum(),
-        }
+                .entry(st.func)
+                .or_insert_with(|| tm.threads_executing(st.func));
+            let key: RegionKey = (execs.iter())
+                .map(|&t| {
+                    let (pre, post) = self.pre_post(module, tm, s, t.index());
+                    (t.0, pre, post)
+                })
+                .collect();
+            (!key.is_empty()).then_some((s, key))
+        });
+        let rel = RegionRelation::factor(keyed, |k1, k2| {
+            keys_ordered(k1, k2, &self.states, &self.multi)
+        });
+        let chain_events = self.chains.iter().map(|c| c.len() as u32).sum();
+        HbFacts::from_relation(rel, tm.len() as u32, chain_events)
     }
 }
 
@@ -777,8 +586,8 @@ impl Analysis {
 /// must be ordered in one direction or the other; a multi-forked common
 /// executor races with itself. Symmetric in `k1`/`k2`.
 fn keys_ordered(k1: &RegionKey, k2: &RegionKey, states: &[Vec<VecClock>], multi: &[bool]) -> bool {
-    for &(t1, pre1, post1) in &k1.execs {
-        for &(t2, pre2, post2) in &k2.execs {
+    for &(t1, pre1, post1) in k1 {
+        for &(t2, pre2, post2) in k2 {
             if t1 == t2 {
                 if multi[t1 as usize] {
                     return false;
@@ -1256,8 +1065,8 @@ mod tests {
         let (m, hb) = facts(PRODUCER_CONSUMER);
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(hb.ordered_stmt(store, load));
-        assert!(hb.ordered_stmt(load, store), "relation is symmetric");
+        assert!(hb.related(store, load));
+        assert!(hb.related(load, store), "relation is symmetric");
     }
 
     #[test]
@@ -1288,7 +1097,7 @@ mod tests {
         // main's load happens without waiting on the condvar: racy.
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(!hb.ordered_stmt(store, load));
+        assert!(!hb.related(store, load));
     }
 
     #[test]
@@ -1313,7 +1122,7 @@ mod tests {
         assert_eq!(hb.region_count(), 0);
         for (s1, _) in m.stmts() {
             for (s2, _) in m.stmts() {
-                assert!(!hb.ordered_stmt(s1, s2));
+                assert!(!hb.related(s1, s2));
             }
         }
     }
@@ -1349,7 +1158,7 @@ mod tests {
         );
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(hb.ordered_stmt(store, load));
+        assert!(hb.related(store, load));
     }
 
     #[test]
@@ -1385,7 +1194,7 @@ mod tests {
         // phase edge must not be claimed.
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(!hb.ordered_stmt(store, load));
+        assert!(!hb.related(store, load));
     }
 
     #[test]
@@ -1419,7 +1228,7 @@ mod tests {
         );
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(hb.ordered_stmt(store, load));
+        assert!(hb.related(store, load));
     }
 
     #[test]
@@ -1454,7 +1263,7 @@ mod tests {
         // The store is relaxed: the rmw unblocks but acquires ⊥.
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(!hb.ordered_stmt(store, load));
+        assert!(!hb.related(store, load));
     }
 
     #[test]
@@ -1484,40 +1293,23 @@ mod tests {
         );
         let store = stmt_matching(&m, "store p, one");
         let load = stmt_matching(&m, "v = load q");
-        assert!(hb.ordered_stmt(store, load));
+        assert!(hb.related(store, load));
     }
 
     // ---- factored form ----
 
     #[test]
-    fn from_parts_roundtrips() {
+    fn relation_parts_roundtrip() {
         let (_, hb) = facts(PRODUCER_CONSUMER);
-        let rebuilt = HbFacts::from_parts(
-            hb.entries(),
+        assert!(hb.region_count() > 0, "a sync program has HB regions");
+        let rel = RegionRelation::from_parts(
+            hb.region_map().to_vec(),
             hb.region_count() as u32,
-            hb.region_count().div_ceil(64) as u32,
             hb.bit_words().to_vec(),
-            hb.thread_count(),
-            hb.chain_event_count(),
         )
         .unwrap();
+        let rebuilt = HbFacts::from_relation(rel, hb.thread_count(), hb.chain_event_count());
         assert_eq!(hb, rebuilt);
-    }
-
-    #[test]
-    fn from_parts_rejects_corruption() {
-        assert!(matches!(
-            HbFacts::from_parts(vec![], 65, 1, vec![0; 65], 2, 3),
-            Err(HbError::WordsMismatch { .. })
-        ));
-        assert!(matches!(
-            HbFacts::from_parts(vec![], 2, 1, vec![0; 3], 2, 3),
-            Err(HbError::BitsLength { .. })
-        ));
-        assert!(matches!(
-            HbFacts::from_parts(vec![(0, 2)], 2, 1, vec![0; 2], 2, 3),
-            Err(HbError::RegionOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -1526,6 +1318,6 @@ mod tests {
         assert_eq!(hb.region_count(), 0);
         assert_eq!(hb.stmt_count(), 0);
         assert_eq!(hb.matrix_bits(), 0);
-        assert!(!hb.ordered_stmt(StmtId::new(0), StmtId::new(1)));
+        assert!(!hb.related(StmtId::new(0), StmtId::new(1)));
     }
 }

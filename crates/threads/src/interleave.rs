@@ -29,7 +29,7 @@ use crate::mhp::MhpOracle;
 use crate::model::{ThreadId, ThreadModel};
 
 /// A set of [`ThreadId`]s (a compact sorted vector; thread counts are small).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ThreadSet {
     ids: Vec<u32>,
 }
@@ -361,7 +361,7 @@ impl Interleaving {
     }
 
     /// Threads executing each statement's function (the statement-level MHP
-    /// inputs, exported by [`crate::facts`]).
+    /// inputs [`MhpBackend::relation`](crate::MhpBackend::relation) factors).
     pub fn executors_map(&self) -> &HashMap<StmtId, Vec<ThreadId>> {
         &self.executors
     }

@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod facts;
 pub mod flow;
 pub mod hb;
 pub mod interleave;
@@ -22,12 +21,11 @@ pub mod relation;
 pub mod shared;
 pub mod valueflow;
 
-pub use facts::{FactsError, MhpFacts};
-pub use hb::{HbError, HbFacts, VecClock};
+pub use hb::{HbFacts, VecClock};
 pub use interleave::{Interleaving, ThreadSet};
 pub use lock::LockAnalysis;
 pub use mhp::{MhpBackend, MhpOracle, ProcMhp};
 pub use model::{JoinEntry, ThreadId, ThreadInfo, ThreadModel};
-pub use relation::MhpRelation;
+pub use relation::{MhpRelation, RegionRelation, RelationError};
 pub use shared::SharedObjects;
 pub use valueflow::{ThreadGroup, ThreadValueFlow, ValueFlowPlan, ValueFlowStats};

@@ -146,7 +146,7 @@ impl ProcMhp {
     }
 
     /// Threads executing each statement's function (the statement-level MHP
-    /// inputs, exported by [`crate::facts`]).
+    /// inputs [`MhpBackend::relation`] factors).
     pub fn executors_map(&self) -> &HashMap<StmtId, Vec<ThreadId>> {
         &self.executors
     }

@@ -1,53 +1,116 @@
-//! Factored statement-level MHP: a region×region bitmatrix.
+//! Region relations: a symmetric statement-level relation factored into a
+//! statement → region map and a region × region bitmatrix.
 //!
-//! `mhp_stmt(s1, s2)` on both backends depends only on a small per-statement
-//! key — the executor list plus, for the interleaving analysis, the alive
-//! set of each executor *at that statement* (for PCG, nothing else: the
-//! thread-concurrency matrix is statement-independent). Statements sharing a
-//! key are therefore MHP-indistinguishable: they form a *region*, and the
-//! whole quadratic statement×statement relation factors into
+//! Statement-level MHP and happens-before both depend only on a small
+//! per-statement key. For MHP it is the executor list plus, for the
+//! interleaving analysis, the alive set of each executor *at that
+//! statement*; the PCG thread-concurrency matrix is statement-independent.
+//! For HB it is each executor's pre-clock and completion certificate.
+//! Statements sharing a key answer every pair query identically, so they
+//! form a *region*, and the whole quadratic statement × statement relation
+//! factors into
 //!
-//! 1. a statement → region map (one small integer per statement), and
-//! 2. a region×region bitmatrix (one bit per region pair).
+//! 1. a dense statement → region map (one `u32` per statement), and
+//! 2. a symmetric region × region bitmatrix (one bit per region pair).
 //!
 //! Regions track function boundaries and fork/join frontiers, so their count
 //! stays near the function count while statements grow with program size —
-//! the matrix is effectively constant-size. Consumers that used to enumerate
-//! or memoize per-statement pairs (the value-flow pair loop, the lint
-//! reducer's batched MHP slab, `QueryEngine::mhp`) instead do two map
-//! lookups and one bit test, without ever materializing a pair set.
+//! the matrix is effectively constant-size. A pair query is one indexed
+//! load per statement and one bit test, and no statement × statement pair
+//! set is ever materialized.
 //!
-//! [`MhpRelation::mhp_stmt`] is pinned bit-for-bit against
-//! [`MhpFacts::mhp_stmt`] (and through it against the live backends) by the
-//! tests here and the suite-wide property test.
+//! [`RegionRelation`] is the one implementation: [`RegionRelation::factor`]
+//! builds it from keyed statements and a pair formula, and
+//! [`RegionRelation::from_parts`] rebuilds it from the raw parts a snapshot
+//! stores, validating them. [`MhpBackend::relation`] factors the live MHP
+//! backends (pinned pair for pair against their `mhp_stmt` by the tests
+//! here and in `tests/mhp_relation.rs`); [`HbFacts`](crate::hb::HbFacts)
+//! wraps the happens-before relation.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use fsam_ir::StmtId;
 
-use crate::facts::MhpFacts;
+use crate::interleave::ThreadSet;
 use crate::mhp::MhpBackend;
+use crate::model::ThreadId;
 
-/// The MHP-equivalence key of one statement. Two statements with equal keys
-/// answer every `mhp_stmt` query identically (the pair formula below reads
-/// nothing else), so they share a region.
-#[derive(Clone, Hash, PartialEq, Eq)]
-struct RegionKey {
-    /// Raw ids of the threads executing the statement's function, in
-    /// executor-list order.
-    execs: Vec<u32>,
-    /// For interleaving-backed facts: the sorted alive set of each executor
-    /// at this statement, aligned with `execs`. Empty for PCG (its relation
-    /// is statement-independent).
-    alive: Vec<Vec<u32>>,
+/// The dense map's marker for a statement without a region.
+const NO_REGION: u32 = u32::MAX;
+
+/// The `mhp.*` counters [`RegionRelation::export_trace`] writes for the
+/// MHP relation.
+pub const MHP_COUNTERS: [&str; 4] = [
+    "mhp.regions",
+    "mhp.region_stmts",
+    "mhp.matrix_bits",
+    "mhp.parallel_bits",
+];
+
+/// Why deserialized parts do not form a valid [`RegionRelation`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RelationError {
+    /// The bit vector's length is not `regions × ⌈regions / 64⌉`.
+    BitsLength {
+        /// Expected word count.
+        expected: usize,
+        /// Actual word count.
+        got: usize,
+    },
+    /// A statement maps to a region ≥ the region count.
+    RegionOutOfRange {
+        /// Raw id of the offending statement.
+        stmt: u32,
+        /// The out-of-range region.
+        region: u32,
+        /// Total region count.
+        regions: u32,
+    },
+    /// A row sets a bit past the last region.
+    PaddingBits {
+        /// The offending row.
+        row: u32,
+    },
+    /// The matrix relates `r1` to `r2` but not `r2` to `r1`.
+    Asymmetric {
+        /// The lower region of the pair.
+        r1: u32,
+        /// The higher region of the pair.
+        r2: u32,
+    },
 }
 
-/// Statement-level MHP factored as regions over a bitmatrix (module docs).
-#[derive(Clone, Debug)]
-pub struct MhpRelation {
-    /// Region of each statement that has executors; statements of dead
-    /// functions are absent (never parallel with anything).
-    region_of: HashMap<StmtId, u32>,
+impl std::fmt::Display for RelationError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RelationError::BitsLength { expected, got } => {
+                write!(f, "region matrix has {got} words, expected {expected}")
+            }
+            RelationError::RegionOutOfRange {
+                stmt,
+                region,
+                regions,
+            } => write!(f, "stmt {stmt} names region {region} of {regions}"),
+            RelationError::PaddingBits { row } => {
+                write!(f, "region matrix row {row} sets bits past the last region")
+            }
+            RelationError::Asymmetric { r1, r2 } => {
+                write!(f, "region matrix is asymmetric at ({r1}, {r2})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RelationError {}
+
+/// A symmetric statement-level relation factored as regions over a
+/// bitmatrix (module docs). The default value relates nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RegionRelation {
+    /// Region of each statement, indexed by [`StmtId::index`]. Statements
+    /// marked [`NO_REGION`] or past the end relate to nothing.
+    region_of: Vec<u32>,
     regions: usize,
     /// `u64` words per bitmatrix row.
     words: usize,
@@ -55,56 +118,47 @@ pub struct MhpRelation {
     bits: Vec<u64>,
 }
 
-impl MhpRelation {
-    /// Factors `facts` into region form. The result answers `mhp_stmt`
-    /// exactly like `facts.mhp_stmt`.
-    pub fn from_facts(facts: &MhpFacts) -> MhpRelation {
-        let executors = facts.executors_internal();
-        let multi = facts.multi_flags();
-        let alive = facts.alive_map_internal();
-        let pcg = facts.concurrent_matrix();
+/// Statement-level MHP as a [`RegionRelation`]: two statements are related
+/// when they may happen in parallel.
+pub type MhpRelation = RegionRelation;
 
-        // Deterministic region numbering: first appearance in statement
-        // order.
-        let mut stmts: Vec<StmtId> = executors.keys().copied().collect();
-        stmts.sort_unstable();
-
-        let mut intern: HashMap<RegionKey, u32> = HashMap::new();
-        let mut keys: Vec<RegionKey> = Vec::new();
-        let mut region_of = HashMap::with_capacity(stmts.len());
-        for &s in &stmts {
-            let execs = &executors[&s];
-            let key = RegionKey {
-                execs: execs.iter().map(|t| t.0).collect(),
-                alive: match alive {
-                    Some(map) => execs
-                        .iter()
-                        .map(|&t| map.get(&(t, s)).cloned().unwrap_or_default())
-                        .collect(),
-                    None => Vec::new(),
-                },
-            };
+impl RegionRelation {
+    /// Factors a relation from `keyed` statements, each with its region key,
+    /// in ascending statement order (regions are numbered by first
+    /// appearance). `related` is the pair formula over two keys and must be
+    /// symmetric; statements not in `keyed` relate to nothing.
+    pub fn factor<K: Hash + Eq + Clone>(
+        keyed: impl IntoIterator<Item = (StmtId, K)>,
+        related: impl Fn(&K, &K) -> bool,
+    ) -> RegionRelation {
+        let mut intern: HashMap<K, u32> = HashMap::new();
+        let mut keys: Vec<K> = Vec::new();
+        let mut region_of = Vec::new();
+        for (s, key) in keyed {
             let id = *intern.entry(key.clone()).or_insert_with(|| {
                 keys.push(key);
                 (keys.len() - 1) as u32
             });
-            region_of.insert(s, id);
+            if region_of.len() <= s.index() {
+                region_of.resize(s.index() + 1, NO_REGION);
+            }
+            region_of[s.index()] = id;
         }
 
         let regions = keys.len();
         let words = regions.div_ceil(64);
         let mut bits = vec![0u64; regions * words];
         for r1 in 0..regions {
-            // The pair formula is symmetric (see `keys_parallel`), so the
-            // upper triangle suffices; mirror as we go.
+            // `related` is symmetric, so the upper triangle suffices; mirror
+            // it as we go.
             for r2 in r1..regions {
-                if keys_parallel(&keys[r1], &keys[r2], multi, pcg) {
+                if related(&keys[r1], &keys[r2]) {
                     bits[r1 * words + r2 / 64] |= 1 << (r2 % 64);
                     bits[r2 * words + r1 / 64] |= 1 << (r1 % 64);
                 }
             }
         }
-        MhpRelation {
+        RegionRelation {
             region_of,
             regions,
             words,
@@ -112,47 +166,88 @@ impl MhpRelation {
         }
     }
 
-    /// The region of `s`, or `None` when `s` has no executors (and is thus
-    /// never parallel with anything).
-    pub fn region_of(&self, s: StmtId) -> Option<u32> {
-        self.region_of.get(&s).copied()
+    /// Reassembles a relation from its serialized parts: the dense region
+    /// map ([`NO_REGION`] = none), the region count and the row-major bit
+    /// words. Every invariant the queries rely on is validated, so a corrupt
+    /// snapshot can neither index out of bounds nor answer asymmetrically.
+    pub fn from_parts(
+        region_of: Vec<u32>,
+        regions: u32,
+        bits: Vec<u64>,
+    ) -> Result<RegionRelation, RelationError> {
+        let n = regions as usize;
+        let words = n.div_ceil(64);
+        let expected = n.saturating_mul(words);
+        if bits.len() != expected {
+            return Err(RelationError::BitsLength {
+                expected,
+                got: bits.len(),
+            });
+        }
+        if let Some((stmt, &region)) =
+            (region_of.iter().enumerate()).find(|&(_, &r)| r != NO_REGION && r >= regions)
+        {
+            return Err(RelationError::RegionOutOfRange {
+                stmt: stmt as u32,
+                region,
+                regions,
+            });
+        }
+        let rel = RegionRelation {
+            region_of,
+            regions: n,
+            words,
+            bits,
+        };
+        let tail = n % 64;
+        for r1 in 0..regions {
+            if tail != 0 && rel.bits[(r1 as usize + 1) * words - 1] >> tail != 0 {
+                return Err(RelationError::PaddingBits { row: r1 });
+            }
+            for r2 in r1 + 1..regions {
+                if rel.related_regions(r1, r2) != rel.related_regions(r2, r1) {
+                    return Err(RelationError::Asymmetric { r1, r2 });
+                }
+            }
+        }
+        Ok(rel)
     }
 
-    /// One bit test: whether the two regions may happen in parallel.
-    pub fn parallel_regions(&self, r1: u32, r2: u32) -> bool {
+    /// The region of `s`, or `None` when `s` relates to nothing.
+    pub fn region_of(&self, s: StmtId) -> Option<u32> {
+        self.region_of
+            .get(s.index())
+            .copied()
+            .filter(|&r| r != NO_REGION)
+    }
+
+    /// One bit test: whether the two regions are related.
+    pub fn related_regions(&self, r1: u32, r2: u32) -> bool {
         debug_assert!((r1 as usize) < self.regions && (r2 as usize) < self.regions);
         self.bits[r1 as usize * self.words + r2 as usize / 64] & (1 << (r2 % 64)) != 0
     }
 
-    /// Whether `s1` and `s2` may happen in parallel — two region lookups and
-    /// a bit test, identical to the originating backend's `mhp_stmt`.
-    pub fn mhp_stmt(&self, s1: StmtId, s2: StmtId) -> bool {
+    /// Whether `s1` and `s2` are related — two region lookups and a bit
+    /// test. Statements without a region answer `false`.
+    pub fn related(&self, s1: StmtId, s2: StmtId) -> bool {
         match (self.region_of(s1), self.region_of(s2)) {
-            (Some(r1), Some(r2)) => self.parallel_regions(r1, r2),
+            (Some(r1), Some(r2)) => self.related_regions(r1, r2),
             _ => false,
         }
     }
 
-    /// [`mhp_stmt`](MhpRelation::mhp_stmt) refined by happens-before: a
-    /// pair may race only if it can interleave *and* no synchronization
-    /// chain must-orders it. With empty `hb` facts (no sync intrinsics, or
-    /// the *No-HB* ablation) this is bit-identical to the raw relation.
-    pub fn mhp_stmt_refined(&self, s1: StmtId, s2: StmtId, hb: &crate::hb::HbFacts) -> bool {
-        self.mhp_stmt(s1, s2) && !hb.ordered_stmt(s1, s2)
-    }
-
-    /// Number of regions (distinct MHP-equivalence keys).
+    /// Number of regions (distinct keys).
     pub fn region_count(&self) -> usize {
         self.regions
     }
 
     /// Number of statements mapped to a region.
     pub fn stmt_count(&self) -> usize {
-        self.region_of.len()
+        self.region_of.iter().filter(|&&r| r != NO_REGION).count()
     }
 
-    /// Number of set (parallel) bits in the full `regions²` matrix.
-    pub fn parallel_bits(&self) -> usize {
+    /// Number of set (related) bits in the full `regions²` matrix.
+    pub fn related_bits(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -161,71 +256,103 @@ impl MhpRelation {
         self.regions * self.regions
     }
 
-    /// Exports the factored-form counters onto `span` under the `mhp.`
-    /// namespace: how many regions the statement space collapsed into, and
-    /// how small the resulting matrix is — the evidence that no
-    /// statement×statement pair set was materialized.
-    pub fn export_trace(&self, span: &fsam_trace::Span<'_>) {
-        span.counter("mhp.regions", self.regions as u64);
-        span.counter("mhp.region_stmts", self.stmt_count() as u64);
-        span.counter("mhp.matrix_bits", self.matrix_bits() as u64);
-        span.counter("mhp.parallel_bits", self.parallel_bits() as u64);
+    /// The dense statement → region map, for the snapshot codec.
+    pub fn region_map(&self) -> &[u32] {
+        &self.region_of
+    }
+
+    /// The raw bitmatrix words, row-major, for the snapshot codec.
+    pub fn bit_words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// Exports the factored-form counters onto `span` under `names`: the
+    /// region count, the mapped statements, the matrix capacity and the set
+    /// bits — the evidence that no statement × statement pair set was
+    /// materialized.
+    pub fn export_trace(&self, span: &fsam_trace::Span<'_>, names: [&'static str; 4]) {
+        let [regions, stmts, matrix, set] = names;
+        span.counter(regions, self.regions as u64);
+        span.counter(stmts, self.stmt_count() as u64);
+        span.counter(matrix, self.matrix_bits() as u64);
+        span.counter(set, self.related_bits() as u64);
     }
 
     /// Approximate owned heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.bits.capacity() * size_of::<u64>()
-            + self.region_of.capacity()
-                * (size_of::<StmtId>() + size_of::<u32>() + size_of::<u64>())
+        self.bits.capacity() * size_of::<u64>() + self.region_of.capacity() * size_of::<u32>()
     }
 }
 
-/// The backend-agnostic pair formula over two region keys — the body of
-/// `MhpFacts::mhp_stmt` with the per-statement state already folded into the
-/// keys. Symmetric: swapping `k1`/`k2` swaps the fwd/bwd alive probes (and
-/// the PCG matrix is symmetric by construction).
-fn keys_parallel(
-    k1: &RegionKey,
-    k2: &RegionKey,
+impl MhpBackend {
+    /// Factors the backend's statement-level MHP into region form, straight
+    /// from its live maps. The key of a statement is its executor list plus,
+    /// for the interleaving analysis, each executor's alive set there: the
+    /// backend's `mhp_stmt` reads nothing else.
+    pub fn relation(&self) -> MhpRelation {
+        match self {
+            MhpBackend::Interleaving(inter) => {
+                let alive = inter.alive_map();
+                let keyed = by_stmt(inter.executors_map()).map(|(s, execs)| {
+                    let sets: Vec<ThreadSet> = (execs.iter())
+                        .map(|&t| alive.get(&(t, s)).cloned().unwrap_or_default())
+                        .collect();
+                    (s, (execs, sets))
+                });
+                RegionRelation::factor(keyed, |(e1, a1), (e2, a2)| {
+                    any_parallel(e1, e2, inter.multi_flags(), |i1, i2| {
+                        a1[i1].contains(e2[i2]) && a2[i2].contains(e1[i1])
+                    })
+                })
+            }
+            MhpBackend::Pcg(pcg) => {
+                let matrix = pcg.concurrent_matrix();
+                RegionRelation::factor(by_stmt(pcg.executors_map()), |e1, e2| {
+                    any_parallel(e1, e2, pcg.multi_flags(), |i1, i2| {
+                        matrix[e1[i1].index()][e2[i2].index()]
+                    })
+                })
+            }
+        }
+    }
+}
+
+/// An executor map's entries in ascending statement order.
+fn by_stmt(
+    executors: &HashMap<StmtId, Vec<ThreadId>>,
+) -> impl Iterator<Item = (StmtId, &[ThreadId])> {
+    let mut entries: Vec<(StmtId, &[ThreadId])> = (executors.iter())
+        .map(|(&s, e)| (s, e.as_slice()))
+        .collect();
+    entries.sort_unstable_by_key(|&(s, _)| s);
+    entries.into_iter()
+}
+
+/// The backends' shared statement-level MHP formula over two executor
+/// lists: a common multi-forked executor races with itself, and two
+/// distinct executors `e1[i1]`, `e2[i2]` are parallel when `parallel(i1,
+/// i2)` says so. Symmetric whenever `parallel` is.
+fn any_parallel(
+    e1: &[ThreadId],
+    e2: &[ThreadId],
     multi: &[bool],
-    pcg: Option<&Vec<Vec<bool>>>,
+    parallel: impl Fn(usize, usize) -> bool,
 ) -> bool {
-    for (i1, &t1) in k1.execs.iter().enumerate() {
-        for (i2, &t2) in k2.execs.iter().enumerate() {
+    for (i1, &t1) in e1.iter().enumerate() {
+        for (i2, &t2) in e2.iter().enumerate() {
             if t1 == t2 {
-                if multi[t1 as usize] {
+                if multi[t1.index()] {
                     return true;
                 }
                 continue;
             }
-            let parallel = match pcg {
-                Some(m) => m[t1 as usize][t2 as usize],
-                None => {
-                    k1.alive[i1].binary_search(&t2).is_ok()
-                        && k2.alive[i2].binary_search(&t1).is_ok()
-                }
-            };
-            if parallel {
+            if parallel(i1, i2) {
                 return true;
             }
         }
     }
     false
-}
-
-impl MhpFacts {
-    /// Factors these facts into the region×region bitmatrix form.
-    pub fn relation(&self) -> MhpRelation {
-        MhpRelation::from_facts(self)
-    }
-}
-
-impl MhpBackend {
-    /// Exports the backend's facts and factors them into region form.
-    pub fn relation(&self) -> MhpRelation {
-        self.export_facts().relation()
-    }
 }
 
 #[cfg(test)]
@@ -276,23 +403,28 @@ mod tests {
         )
     }
 
+    /// Rebuilds `rel` through the snapshot's parts.
+    fn via_parts(rel: &RegionRelation) -> Result<RegionRelation, RelationError> {
+        RegionRelation::from_parts(
+            rel.region_map().to_vec(),
+            rel.region_count() as u32,
+            rel.bit_words().to_vec(),
+        )
+    }
+
     #[test]
-    fn relation_matches_facts_and_backend_on_every_pair() {
+    fn relation_matches_backend_on_every_pair() {
         let m = parse_module(SRC).unwrap();
-        for backend in {
-            let (a, b) = backends(&m);
-            [a, b]
-        } {
-            let facts = backend.export_facts();
-            let rel = facts.relation();
+        let (inter, pcg) = backends(&m);
+        for backend in [inter, pcg] {
+            let rel = backend.relation();
             for (s1, _) in m.stmts() {
                 for (s2, _) in m.stmts() {
                     assert_eq!(
-                        rel.mhp_stmt(s1, s2),
-                        facts.mhp_stmt(s1, s2),
+                        rel.related(s1, s2),
+                        backend.mhp_stmt(s1, s2),
                         "{s1:?} {s2:?}"
                     );
-                    assert_eq!(rel.mhp_stmt(s1, s2), backend.mhp_stmt(s1, s2));
                 }
             }
         }
@@ -311,8 +443,8 @@ mod tests {
             rel.stmt_count()
         );
         assert_eq!(rel.matrix_bits(), rel.region_count() * rel.region_count());
-        assert!(rel.parallel_bits() > 0, "forked threads are parallel");
-        assert!(rel.parallel_bits() <= rel.matrix_bits());
+        assert!(rel.related_bits() > 0, "forked threads are parallel");
+        assert!(rel.related_bits() <= rel.matrix_bits());
         assert!(rel.heap_bytes() > 0);
     }
 
@@ -339,6 +471,55 @@ mod tests {
         let dead = m.func_by_name("dead").unwrap();
         let d = m.stmts().find(|(_, s)| s.func == dead).unwrap().0;
         assert_eq!(rel.region_of(d), None);
-        assert!(!rel.mhp_stmt(d, d));
+        assert!(!rel.related(d, d));
+        // Out-of-range statements answer like dead ones.
+        let beyond = StmtId::new(m.stmt_count() as u32 + 7);
+        assert_eq!(rel.region_of(beyond), None);
+        assert!(!rel.related(beyond, d));
+    }
+
+    #[test]
+    fn from_parts_roundtrips_both_backends() {
+        let m = parse_module(SRC).unwrap();
+        let (inter, pcg) = backends(&m);
+        for backend in [inter, pcg] {
+            let rel = backend.relation();
+            assert_eq!(via_parts(&rel).unwrap(), rel);
+        }
+        let empty = RegionRelation::default();
+        assert_eq!(via_parts(&empty).unwrap(), empty);
+        assert_eq!(empty.stmt_count(), 0);
+        assert!(!empty.related(StmtId::new(0), StmtId::new(1)));
+    }
+
+    #[test]
+    fn from_parts_rejects_corruption() {
+        // 65 regions need two words per row; one is a length error.
+        assert!(matches!(
+            RegionRelation::from_parts(vec![], 65, vec![0; 65]),
+            Err(RelationError::BitsLength { .. })
+        ));
+        assert!(matches!(
+            RegionRelation::from_parts(vec![], 2, vec![0; 3]),
+            Err(RelationError::BitsLength { .. })
+        ));
+        assert_eq!(
+            RegionRelation::from_parts(vec![NO_REGION, 2], 2, vec![0; 2]),
+            Err(RelationError::RegionOutOfRange {
+                stmt: 1,
+                region: 2,
+                regions: 2
+            })
+        );
+        assert_eq!(
+            RegionRelation::from_parts(vec![0], 2, vec![0b100, 0]),
+            Err(RelationError::PaddingBits { row: 0 })
+        );
+        assert_eq!(
+            RegionRelation::from_parts(vec![0, 1], 2, vec![0b10, 0]),
+            Err(RelationError::Asymmetric { r1: 0, r2: 1 })
+        );
+        // The same bit mirrored is accepted.
+        assert!(RegionRelation::from_parts(vec![0, 1], 2, vec![0b10, 0b01]).is_ok());
     }
 }

@@ -97,7 +97,7 @@ impl ThreadValueFlow {
         }
         let mut classes: BTreeMap<Vec<StmtId>, Vec<StmtId>> = BTreeMap::new();
         for (r, region_stores) in by_region {
-            let parallel = |&(a, ra): &(StmtId, u32)| rel.parallel_regions(r, ra).then_some(a);
+            let parallel = |&(a, ra): &(StmtId, u32)| rel.related_regions(r, ra).then_some(a);
             let union: Vec<StmtId> = accesses.iter().filter_map(parallel).collect();
             let mut unfiltered = Vec::new();
             for s in region_stores {
@@ -326,7 +326,7 @@ fn compute_blind(module: &Module, pre: &PreAnalysis, rel: &MhpRelation) -> Threa
         .map(|&(s, r)| {
             accesses
                 .iter()
-                .filter(|&&(a, ra)| a != s && rel.parallel_regions(r, ra))
+                .filter(|&&(a, ra)| a != s && rel.related_regions(r, ra))
                 .count()
         })
         .sum();
@@ -339,6 +339,7 @@ mod tests {
     use super::*;
     use crate::interleave::Interleaving;
     use crate::lock::LockAnalysis;
+    use crate::mhp::MhpBackend;
     use crate::model::ThreadModel;
     use fsam_ir::parse::parse_module;
 
@@ -346,7 +347,7 @@ mod tests {
         m: Module,
         icfg: Icfg,
         pre: PreAnalysis,
-        inter: Interleaving,
+        inter: MhpBackend,
         rel: MhpRelation,
         lock: LockAnalysis,
     }
@@ -359,7 +360,8 @@ mod tests {
         let tm = ThreadModel::build(&m, &pre, &icfg);
         let ctxs = crate::flow::precompute_contexts(&icfg, pre.call_graph(), &tm);
         let inter = Interleaving::compute(&m, &icfg, &pre, &tm, &ctxs);
-        let rel = inter.export_facts().relation();
+        let inter = MhpBackend::Interleaving(std::sync::Arc::new(inter));
+        let rel = inter.relation();
         let lock = LockAnalysis::compute(&m, &icfg, &pre, &tm, &ctxs);
         World {
             m,

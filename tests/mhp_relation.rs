@@ -1,68 +1,70 @@
 //! Property: the factored region × region [`fsam_threads::MhpRelation`]
-//! answers *exactly* like the enumerated [`fsam_threads::MhpFacts`] it was
-//! built from — on every statement pair of every suite program, for both
-//! the interleaving backend (full configuration) and the PCG fallback
+//! answers *exactly* like the live MHP backend it was factored from — on
+//! every statement pair of every suite program and every sync program, for
+//! both the interleaving backend (full configuration) and the PCG fallback
 //! (`no_interleaving` ablation).
 //!
-//! The relation is the factored form every consumer now queries (the
-//! pipeline, the query engine, the lint reducer); this test is the
+//! The relation is the form every consumer queries and the snapshot stores
+//! (the pipeline, the query engine, the lint reducer); this test is the
 //! ground-truth tether that lets them all drop the per-pair enumeration.
 
 use fsam::{Fsam, PhaseConfig};
 use fsam_ir::{Module, StmtId};
-use fsam_suite::{Program, Scale};
-use fsam_threads::{MhpFacts, MhpRelation};
+use fsam_suite::{Program, Scale, SyncProgram};
+use fsam_threads::{MhpOracle, MhpRelation};
 
-/// Compares the relation against the enumerated facts on statement pairs.
+/// Compares the relation against the live backend on statement pairs.
 /// Small programs get the full quadratic sweep; large ones a deterministic
 /// stride sample that still touches every statement on both sides of a
 /// pair (plus every self pair, where the multi-instance bit lives).
-fn assert_identical(name: &str, module: &Module, facts: &MhpFacts, rel: &MhpRelation) {
+fn assert_identical(name: &str, module: &Module, oracle: &dyn MhpOracle, rel: &MhpRelation) {
     let stmts: Vec<StmtId> = module.stmt_ids().collect();
     let stride = (stmts.len() / 600).max(1);
     for (i, &a) in stmts.iter().enumerate() {
         assert_eq!(
-            rel.mhp_stmt(a, a),
-            facts.mhp_stmt(a, a),
+            rel.related(a, a),
+            oracle.mhp_stmt(a, a),
             "{name}: self-MHP diverges on {a}"
         );
         for &b in stmts.iter().skip(i % stride).step_by(stride) {
             assert_eq!(
-                rel.mhp_stmt(a, b),
-                facts.mhp_stmt(a, b),
+                rel.related(a, b),
+                oracle.mhp_stmt(a, b),
                 "{name}: MHP diverges on ({a}, {b})"
             );
             assert_eq!(
-                rel.mhp_stmt(b, a),
-                rel.mhp_stmt(a, b),
+                rel.related(b, a),
+                rel.related(a, b),
                 "{name}: relation not symmetric on ({a}, {b})"
             );
         }
     }
 }
 
+/// The ten suite programs and the three sync programs at SMOKE.
+fn programs() -> Vec<(&'static str, Module)> {
+    (Program::all().into_iter())
+        .map(|p| (p.name(), p.generate(Scale::SMOKE)))
+        .chain(SyncProgram::all().map(|p| (p.name(), p.generate(Scale::SMOKE))))
+        .collect()
+}
+
 #[test]
-fn relation_matches_enumerated_facts_on_every_suite_program() {
-    for p in Program::all() {
-        let module = p.generate(Scale::SMOKE);
+fn relation_matches_live_backend_on_every_suite_and_sync_program() {
+    for (name, module) in programs() {
         let fsam = Fsam::analyze(&module);
-        let facts = fsam.mhp.export_facts();
         // The pipeline's own cached relation …
-        assert_identical(p.name(), &module, &facts, &fsam.mhp_rel);
-        // … and one rebuilt from the serializable facts (the snapshot
-        // load path) answer identically.
-        let rebuilt = facts.relation();
-        assert_identical(p.name(), &module, &facts, &rebuilt);
+        assert_identical(name, &module, fsam.mhp.oracle(), &fsam.mhp_rel);
+        // … and one factored afresh from the backend answer identically.
+        assert_identical(name, &module, fsam.mhp.oracle(), &fsam.mhp.relation());
     }
 }
 
 #[test]
-fn relation_matches_enumerated_facts_under_the_pcg_backend() {
-    for p in [Program::WordCount, Program::Radiosity, Program::HttpdServer] {
-        let module = p.generate(Scale::SMOKE);
+fn relation_matches_live_backend_under_the_pcg_backend() {
+    for (name, module) in programs() {
         let fsam = Fsam::analyze_with(&module, PhaseConfig::no_interleaving());
-        let facts = fsam.mhp.export_facts();
-        assert_identical(p.name(), &module, &facts, &fsam.mhp_rel);
+        assert_identical(name, &module, fsam.mhp.oracle(), &fsam.mhp_rel);
     }
 }
 
@@ -76,7 +78,7 @@ fn relation_shape_is_coherent() {
     let rel = &fsam.mhp_rel;
     assert!(rel.region_count() >= 1);
     assert!(rel.stmt_count() >= rel.region_count());
-    assert!(rel.parallel_bits() <= rel.matrix_bits());
+    assert!(rel.related_bits() <= rel.matrix_bits());
     for s in module.stmt_ids() {
         if let Some(r) = rel.region_of(s) {
             assert!(

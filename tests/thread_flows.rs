@@ -138,7 +138,7 @@ fn reference(m: &Module, f: &Fsam, blind: bool) -> (Vec<ThreadGroup>, ValueFlowS
         let all_accesses: BTreeSet<StmtId> = accesses_of.values().flatten().copied().collect();
         for &s in &all_stores {
             for &a in &all_accesses {
-                if s == a || !rel.mhp_stmt(s, a) {
+                if s == a || !rel.related(s, a) {
                     continue;
                 }
                 stats.mhp_pairs += 1;
@@ -157,7 +157,7 @@ fn reference(m: &Module, f: &Fsam, blind: bool) -> (Vec<ThreadGroup>, ValueFlowS
                     if s != a {
                         stats.aliased_pairs += 1;
                     }
-                    if !rel.mhp_stmt(s, a) {
+                    if !rel.related(s, a) {
                         continue;
                     }
                     stats.mhp_pairs += 1;
@@ -239,7 +239,7 @@ fn assert_parallel_pairs_have_mhp_instances(name: &str, m: &Module, config: Phas
         for &s in &stores {
             let is1 = oracle.instances(s);
             for &a in &accesses {
-                if !f.mhp_rel.mhp_stmt(s, a) {
+                if !f.mhp_rel.related(s, a) {
                     continue;
                 }
                 pairs += 1;
