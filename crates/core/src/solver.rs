@@ -44,6 +44,17 @@
 //! the total topological order needs. The schedule is sequential and has
 //! no knobs, so the result never depends on the pipeline's worker count.
 //!
+//! # Resolved tables
+//!
+//! The def-use chains never change during the solve, so `Solver::new`
+//! resolves them once into slot-indexed tables. **Successors per slot**:
+//! each SVFG edge carrying the slot's object, in `svfg.succs` order,
+//! becomes a target slot (with the store whose strong phase gates it) or
+//! a load's `(node, dst, ptr)`, so a visit walks its own range with no
+//! label filter, node-kind match or slot search. **Reaching definitions
+//! per (node, object)**: sorted ranges shaped like `slot_base`/`slot_obj`.
+//! **Statement → node**: a dense table.
+//!
 //! # Interned points-to store
 //!
 //! All points-to sets live in a [`PtsPool`] of hash-consed immutable sets;
@@ -433,6 +444,17 @@ enum StorePhase {
     Weak,
 }
 
+/// One resolved SVFG successor of a slot: where a change of the slot's
+/// output goes.
+#[derive(Copy, Clone, Debug)]
+enum SlotSucc {
+    /// Slot `slot` of a merge node, or of the store `gate`, whose strong
+    /// phase on the object kills the incoming flow.
+    Slot { slot: u32, gate: Option<StmtId> },
+    /// The load at SVFG node `node`: `dst = *ptr`.
+    Load { node: u32, dst: VarId, ptr: VarId },
+}
+
 /// Worklist modes. `RECOMP` supersedes `DELTA` for a queued item.
 const DELTA: u8 = 1;
 const RECOMP: u8 = 2;
@@ -454,8 +476,18 @@ struct Solver<'a> {
     slot_kind: Vec<SlotKind>,
     /// Per-statement store phase (meaningful for stores only).
     store_phase: Vec<StorePhase>,
-    /// Reaching-definition predecessor *slots* per (node, object).
-    preds_by_obj: HashMap<(u32, MemId), Vec<u32>>,
+    /// SVFG node per statement (`u32::MAX`: none).
+    stmt_node: Vec<u32>,
+    /// Slot `k`'s resolved successors: `succ[succ_base[k]..succ_base[k + 1]]`.
+    succ_base: Vec<u32>,
+    succ: Vec<SlotSucc>,
+    /// Reaching-definition slots per (node, object): node `n`'s objects
+    /// are `in_obj[in_base[n]..in_base[n + 1]]`, ascending, and key `i`'s
+    /// slots are `in_slot[in_slot_base[i]..in_slot_base[i + 1]]`.
+    in_base: Vec<u32>,
+    in_obj: Vec<MemId>,
+    in_slot_base: Vec<u32>,
+    in_slot: Vec<u32>,
     /// Pending deltas, one accumulator per variable / per slot.
     pending_var: Vec<PtsSet>,
     pending_slot: Vec<PtsSet>,
@@ -487,10 +519,12 @@ impl<'a> Solver<'a> {
         let mut slot_obj: Vec<MemId> = Vec::new();
         let mut slot_node: Vec<u32> = Vec::new();
         let mut slot_kind: Vec<SlotKind> = Vec::new();
+        let mut stmt_node = vec![u32::MAX; s_count];
         for n in svfg.node_ids() {
             slot_base.push(slot_obj.len() as u32);
             match svfg.kind(n) {
                 VfNodeKind::Stmt(sid) if sid.index() < s_count => {
+                    stmt_node[sid.index()] = n.index() as u32;
                     if let StmtKind::Store { ptr, val } = module.stmt(sid).kind {
                         let mut objs: Vec<MemId> = svfg.annotations().chi(sid).iter().collect();
                         for &(_, o) in svfg.preds(n).iter().chain(svfg.succs(n)) {
@@ -520,17 +554,74 @@ impl<'a> Solver<'a> {
         slot_base.push(slot_obj.len() as u32);
         let k_count = slot_obj.len();
 
-        let mut preds_by_obj: HashMap<(u32, MemId), Vec<u32>> = HashMap::new();
+        // Resolved successors, in `svfg.succs` order per slot. The total
+        // is counted first so the table is allocated once.
+        let slot_at = |n: usize, o: MemId| slot_lookup(&slot_base, &slot_obj, n, o);
+        let resolve = |succ: VfNodeId, o: MemId| match svfg.kind(succ) {
+            VfNodeKind::Stmt(sid) if sid.index() < s_count => match module.stmt(sid).kind {
+                StmtKind::Store { .. } => slot_at(succ.index(), o).map(|j| SlotSucc::Slot {
+                    slot: j as u32,
+                    gate: Some(sid),
+                }),
+                StmtKind::Load { dst, ptr } => Some(SlotSucc::Load {
+                    node: succ.index() as u32,
+                    dst,
+                    ptr,
+                }),
+                // Other statements read no memory.
+                _ => None,
+            },
+            // Synthetic statement nodes define and use nothing.
+            VfNodeKind::Stmt(_) => None,
+            _ => slot_at(succ.index(), o).map(|j| SlotSucc::Slot {
+                slot: j as u32,
+                gate: None,
+            }),
+        };
+        let mut succ_base = vec![0u32; k_count + 1];
         for n in svfg.node_ids() {
-            for &(pred, o) in svfg.preds(n) {
-                if let Some(pk) = slot_lookup(&slot_base, &slot_obj, pred.index(), o) {
-                    preds_by_obj
-                        .entry((n.index() as u32, o))
-                        .or_default()
-                        .push(pk as u32);
+            for &(succ, o) in svfg.succs(n) {
+                if let Some(k) = slot_at(n.index(), o) {
+                    succ_base[k + 1] += u32::from(resolve(succ, o).is_some());
                 }
             }
         }
+        for k in 0..k_count {
+            succ_base[k + 1] += succ_base[k];
+        }
+        let mut succ = Vec::with_capacity(succ_base[k_count] as usize);
+        let mut in_base = Vec::with_capacity(n_count + 1);
+        let (mut in_obj, mut in_slot_base, mut in_slot) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scratch: Vec<(u32, SlotSucc)> = Vec::new();
+        let mut preds: Vec<(MemId, u32)> = Vec::new();
+        for n in svfg.node_ids() {
+            scratch.clear();
+            for &(s, o) in svfg.succs(n) {
+                if let (Some(k), Some(t)) = (slot_at(n.index(), o), resolve(s, o)) {
+                    scratch.push((k as u32, t));
+                }
+            }
+            scratch.sort_by_key(|&(k, _)| k);
+            succ.extend(scratch.iter().map(|&(_, t)| t));
+
+            in_base.push(in_obj.len() as u32);
+            preds.clear();
+            for &(p, o) in svfg.preds(n) {
+                if let Some(pk) = slot_at(p.index(), o) {
+                    preds.push((o, pk as u32));
+                }
+            }
+            preds.sort_by_key(|&(o, _)| o);
+            for (i, &(o, pk)) in preds.iter().enumerate() {
+                if i == 0 || preds[i - 1].0 != o {
+                    in_obj.push(o);
+                    in_slot_base.push(in_slot.len() as u32);
+                }
+                in_slot.push(pk);
+            }
+        }
+        in_base.push(in_obj.len() as u32);
+        in_slot_base.push(in_slot.len() as u32);
 
         let order = svfg.solve_order(module, pre.call_graph());
         let mut var_level = vec![u32::MAX; v_count];
@@ -554,7 +645,13 @@ impl<'a> Solver<'a> {
             slot_node,
             slot_kind,
             store_phase: vec![StorePhase::Empty; s_count],
-            preds_by_obj,
+            stmt_node,
+            succ_base,
+            succ,
+            in_base,
+            in_obj,
+            in_slot_base,
+            in_slot,
             pending_var: vec![PtsSet::new(); v_count],
             pending_slot: vec![PtsSet::new(); k_count],
             mode: vec![0; v_count + k_count],
@@ -684,6 +781,32 @@ impl<'a> Solver<'a> {
         slot_lookup(&self.slot_base, &self.slot_obj, node, o)
     }
 
+    /// The SVFG node of statement `sid`, if it has one.
+    fn node_of(&self, sid: StmtId) -> Option<usize> {
+        let n = self.stmt_node[sid.index()];
+        (n != u32::MAX).then_some(n as usize)
+    }
+
+    /// The node of store `sid` and its slot range `s..e`; `None` when the
+    /// store defines no slot.
+    fn store_slots(&self, sid: StmtId) -> Option<(usize, usize, usize)> {
+        let n = self.node_of(sid)?;
+        let (s, e) = (self.slot_base[n] as usize, self.slot_base[n + 1] as usize);
+        (s < e).then_some((n, s, e))
+    }
+
+    /// The slots whose outputs reach node `node` as definitions of `o`.
+    fn preds_of(&self, node: usize, o: MemId) -> &[u32] {
+        let (s, e) = (self.in_base[node] as usize, self.in_base[node + 1] as usize);
+        match self.in_obj[s..e].binary_search(&o) {
+            Ok(i) => {
+                let (a, b) = (self.in_slot_base[s + i], self.in_slot_base[s + i + 1]);
+                &self.in_slot[a as usize..b as usize]
+            }
+            Err(_) => &[],
+        }
+    }
+
     fn push_delta(&mut self, id: usize) {
         if self.mode[id] == 0 {
             self.mode[id] = DELTA;
@@ -751,6 +874,59 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// Records `set`'s members arriving at `dst` along the SVFG edge
+    /// `from → to`.
+    fn trace_flow(
+        &self,
+        dst_var: bool,
+        dst: u64,
+        from: usize,
+        to: usize,
+        set: &PtsSet,
+        fallback: &'static str,
+    ) {
+        let via = self.via_of(from, to, fallback);
+        for m in set.iter() {
+            self.emit_prop(dst_var, dst, m, "def", from as u64, m, via);
+        }
+    }
+
+    /// Replays every reaching definition of `o` at `node` into `dst`.
+    fn trace_defs(&self, dst_var: bool, dst: u64, node: usize, o: MemId, fallback: &'static str) {
+        for &pk in self.preds_of(node, o) {
+            let pn = self.slot_node[pk as usize] as usize;
+            let set = self.pool.get(self.slot_out[pk as usize]);
+            self.trace_flow(dst_var, dst, pn, node, set, fallback);
+        }
+    }
+
+    /// Records `set`'s members reaching variable `dst` from variable `src`,
+    /// by copy or, with `gep`, each mapped to that field.
+    fn trace_vars(&self, dst: VarId, src: VarId, set: &PtsSet, gep: Option<u32>) {
+        for o in set.iter() {
+            let (m, via) = match gep {
+                Some(field) => (self.pre.objects().field_existing(o, field), "gep"),
+                None => (o, "copy"),
+            };
+            self.emit_prop(
+                true,
+                dst.index() as u64,
+                m,
+                "var",
+                src.index() as u64,
+                o,
+                via,
+            );
+        }
+    }
+
+    /// Records `set` (from the stored value `val`) written at store node `n`.
+    fn trace_store(&self, n: usize, val: VarId, set: &PtsSet) {
+        for m in set.iter() {
+            self.emit_prop(false, n as u64, m, "var", val.index() as u64, m, "store");
+        }
+    }
+
     /// Replays `v`'s full source contributions as `prop` events (after a
     /// recompute re-evaluated it from scratch).
     fn trace_var_sources(&self, v: VarId) {
@@ -768,48 +944,19 @@ impl<'a> Solver<'a> {
                     );
                 }
                 VarSource::Var(src) => {
-                    for o in self.pool.get(self.pt_vars[src.index()]).iter() {
-                        self.emit_prop(
-                            true,
-                            v.index() as u64,
-                            o,
-                            "var",
-                            src.index() as u64,
-                            o,
-                            "copy",
-                        );
-                    }
+                    self.trace_vars(v, src, self.pool.get(self.pt_vars[src.index()]), None);
                 }
                 VarSource::LoadAt(sid, ptr) => {
-                    let Some(node) = self.svfg.stmt_node(sid) else {
+                    let Some(node) = self.node_of(sid) else {
                         continue;
                     };
                     for o in self.pool.get(self.pt_vars[ptr.index()]).iter() {
-                        let Some(pks) = self.preds_by_obj.get(&(node.index() as u32, o)) else {
-                            continue;
-                        };
-                        for &pk in pks {
-                            let pn = self.slot_node[pk as usize] as usize;
-                            let via = self.via_of(pn, node.index(), "load");
-                            for m in self.pool.get(self.slot_out[pk as usize]).iter() {
-                                self.emit_prop(true, v.index() as u64, m, "def", pn as u64, m, via);
-                            }
-                        }
+                        self.trace_defs(true, v.index() as u64, node, o, "load");
                     }
                 }
                 VarSource::Gep(base, field) => {
-                    for o in self.pool.get(self.pt_vars[base.index()]).iter() {
-                        let f = self.pre.objects().field_existing(o, field);
-                        self.emit_prop(
-                            true,
-                            v.index() as u64,
-                            f,
-                            "var",
-                            base.index() as u64,
-                            o,
-                            "gep",
-                        );
-                    }
+                    let set = self.pool.get(self.pt_vars[base.index()]);
+                    self.trace_vars(v, base, set, Some(field));
                 }
             }
         }
@@ -834,30 +981,18 @@ impl<'a> Solver<'a> {
             }
         };
         if !(written && strong) {
-            if let Some(pks) = self.preds_by_obj.get(&(n as u32, o)) {
-                for &pk in pks {
-                    let pn = self.slot_node[pk as usize] as usize;
-                    let via = self.via_of(pn, n, "merge");
-                    for m in self.pool.get(self.slot_out[pk as usize]).iter() {
-                        self.emit_prop(false, n as u64, m, "def", pn as u64, m, via);
-                    }
-                }
-            }
+            self.trace_defs(false, n as u64, n, o, "merge");
         }
         if written {
             let val = val.expect("written implies store");
-            for m in self.pool.get(self.pt_vars[val.index()]).iter() {
-                self.emit_prop(false, n as u64, m, "var", val.index() as u64, m, "store");
-            }
+            self.trace_store(n, val, self.pool.get(self.pt_vars[val.index()]));
         }
     }
 
     /// Unions the reaching definitions of `o` at node `n` into `acc`.
     fn union_pt_in(&self, node: usize, o: MemId, acc: &mut PtsSet) {
-        if let Some(pks) = self.preds_by_obj.get(&(node as u32, o)) {
-            for &pk in pks {
-                acc.union_in_place(self.pool.get(self.slot_out[pk as usize]));
-            }
+        for &pk in self.preds_of(node, o) {
+            acc.union_in_place(self.pool.get(self.slot_out[pk as usize]));
         }
     }
 
@@ -880,9 +1015,9 @@ impl<'a> Solver<'a> {
                     new.union_in_place(self.pool.get(self.pt_vars[src.index()]));
                 }
                 VarSource::LoadAt(sid, ptr) => {
-                    if let Some(node) = self.svfg.stmt_node(sid) {
+                    if let Some(node) = self.node_of(sid) {
                         for o in self.pool.get(self.pt_vars[ptr.index()]).iter() {
-                            self.union_pt_in(node.index(), o, &mut new);
+                            self.union_pt_in(node, o, &mut new);
                         }
                     }
                 }
@@ -954,35 +1089,17 @@ impl<'a> Solver<'a> {
             match dep {
                 VarDep::Flow(t) => {
                     if self.trace_explain {
-                        for o in fresh.iter() {
-                            self.emit_prop(
-                                true,
-                                t.index() as u64,
-                                o,
-                                "var",
-                                v.index() as u64,
-                                o,
-                                "copy",
-                            );
-                        }
+                        self.trace_vars(t, v, fresh, None);
                     }
                     self.pending_var[t.index()].union_in_place(fresh);
                     self.push_delta(t.index());
                 }
                 VarDep::Gep(t, field) => {
+                    if self.trace_explain {
+                        self.trace_vars(t, v, fresh, Some(field));
+                    }
                     for o in fresh.iter() {
                         let f = self.pre.objects().field_existing(o, field);
-                        if self.trace_explain {
-                            self.emit_prop(
-                                true,
-                                t.index() as u64,
-                                f,
-                                "var",
-                                v.index() as u64,
-                                o,
-                                "gep",
-                            );
-                        }
                         self.pending_var[t.index()].insert(f);
                     }
                     self.push_delta(t.index());
@@ -991,30 +1108,13 @@ impl<'a> Solver<'a> {
                     // The load now also reads the new objects: pull their
                     // full reaching definitions once; later growth arrives
                     // through the (now open) forward gate.
-                    if let Some(node) = self.svfg.stmt_node(sid) {
+                    if let Some(node) = self.node_of(sid) {
                         let mut add = PtsSet::new();
                         for o in fresh.iter() {
                             if self.trace_explain {
-                                if let Some(pks) = self.preds_by_obj.get(&(node.index() as u32, o))
-                                {
-                                    for &pk in pks {
-                                        let pn = self.slot_node[pk as usize] as usize;
-                                        let via = self.via_of(pn, node.index(), "load");
-                                        for m in self.pool.get(self.slot_out[pk as usize]).iter() {
-                                            self.emit_prop(
-                                                true,
-                                                dst.index() as u64,
-                                                m,
-                                                "def",
-                                                pn as u64,
-                                                m,
-                                                via,
-                                            );
-                                        }
-                                    }
-                                }
+                                self.trace_defs(true, dst.index() as u64, node, o, "load");
                             }
-                            self.union_pt_in(node.index(), o, &mut add);
+                            self.union_pt_in(node, o, &mut add);
                         }
                         if !add.is_empty() {
                             self.pending_var[dst.index()].union_in_place(&add);
@@ -1048,13 +1148,10 @@ impl<'a> Solver<'a> {
     }
 
     fn recomp_store_slots(&mut self, sid: StmtId) {
-        let Some(node) = self.svfg.stmt_node(sid) else {
-            return;
-        };
-        let n = node.index();
-        let (s, e) = (self.slot_base[n] as usize, self.slot_base[n + 1] as usize);
-        for k in s..e {
-            self.push_recomp(self.v_count + k);
+        if let Some((_, s, e)) = self.store_slots(sid) {
+            for k in s..e {
+                self.push_recomp(self.v_count + k);
+            }
         }
     }
 
@@ -1062,21 +1159,19 @@ impl<'a> Solver<'a> {
     /// output contains `pt(val)` (exactly, for the strong slot; as one
     /// operand of the union otherwise), so the delta flows straight in.
     fn on_store_val_growth(&mut self, sid: StmtId, fresh: &PtsSet) {
-        let Some(node) = self.svfg.stmt_node(sid) else {
+        let Some((n, s, e)) = self.store_slots(sid) else {
             return;
         };
-        let n = node.index();
-        let (s, e) = (self.slot_base[n] as usize, self.slot_base[n + 1] as usize);
-        let Some(&SlotKind::Store { ptr, val }) = self.slot_kind.get(s) else {
+        let SlotKind::Store { ptr, val } = self.slot_kind[s] else {
             return;
         };
         for k in s..e {
-            let o = self.slot_obj[k];
-            if self.pool.contains(self.pt_vars[ptr.index()], o) {
+            if self
+                .pool
+                .contains(self.pt_vars[ptr.index()], self.slot_obj[k])
+            {
                 if self.trace_explain {
-                    for m in fresh.iter() {
-                        self.emit_prop(false, n as u64, m, "var", val.index() as u64, m, "store");
-                    }
+                    self.trace_store(n, val, fresh);
                 }
                 self.pending_slot[k].union_in_place(fresh);
                 self.push_delta(self.v_count + k);
@@ -1089,12 +1184,10 @@ impl<'a> Solver<'a> {
     /// strong slot's output becomes exactly `pt(val)`); every other
     /// transition adds members and propagates as deltas.
     fn on_store_ptr_growth(&mut self, sid: StmtId, fresh: &PtsSet) {
-        let Some(node) = self.svfg.stmt_node(sid) else {
+        let Some((n, s, e)) = self.store_slots(sid) else {
             return;
         };
-        let n = node.index();
-        let (s, e) = (self.slot_base[n] as usize, self.slot_base[n + 1] as usize);
-        let Some(&SlotKind::Store { ptr, val, .. }) = self.slot_kind.get(s) else {
+        let SlotKind::Store { ptr, val } = self.slot_kind[s] else {
             return;
         };
         let old_phase = self.store_phase[sid.index()];
@@ -1110,27 +1203,7 @@ impl<'a> Solver<'a> {
                 }
             }
             (StorePhase::Empty | StorePhase::Weak, StorePhase::Weak) => {
-                // Newly written slots gain pt(val) on top of their inputs.
-                let val_ref = self.pt_vars[val.index()];
-                for k in s..e {
-                    if fresh.contains(self.slot_obj[k]) && self.pool.len_of(val_ref) > 0 {
-                        if self.trace_explain {
-                            for m in self.pool.get(val_ref).iter() {
-                                self.emit_prop(
-                                    false,
-                                    n as u64,
-                                    m,
-                                    "var",
-                                    val.index() as u64,
-                                    m,
-                                    "store",
-                                );
-                            }
-                        }
-                        self.pending_slot[k].union_in_place(self.pool.get(val_ref));
-                        self.push_delta(self.v_count + k);
-                    }
-                }
+                self.write_fresh_slots(n, s..e, val, fresh);
             }
             (StorePhase::Strong(prev), StorePhase::Weak) => {
                 // The strong slot weakens: its output regains the reaching
@@ -1138,15 +1211,7 @@ impl<'a> Solver<'a> {
                 // while strong, so pull the full current input).
                 if let Some(k) = self.slot_of(n, prev) {
                     if self.trace_explain {
-                        if let Some(pks) = self.preds_by_obj.get(&(n as u32, prev)) {
-                            for &pk in pks {
-                                let pn = self.slot_node[pk as usize] as usize;
-                                let via = self.via_of(pn, n, "merge");
-                                for m in self.pool.get(self.slot_out[pk as usize]).iter() {
-                                    self.emit_prop(false, n as u64, m, "def", pn as u64, m, via);
-                                }
-                            }
-                        }
+                        self.trace_defs(false, n as u64, n, prev, "merge");
                     }
                     let add = self.pt_in(n, prev);
                     if !add.is_empty() {
@@ -1154,31 +1219,36 @@ impl<'a> Solver<'a> {
                         self.push_delta(self.v_count + k);
                     }
                 }
-                let val_ref = self.pt_vars[val.index()];
-                for k in s..e {
-                    if fresh.contains(self.slot_obj[k]) && self.pool.len_of(val_ref) > 0 {
-                        if self.trace_explain {
-                            for m in self.pool.get(val_ref).iter() {
-                                self.emit_prop(
-                                    false,
-                                    n as u64,
-                                    m,
-                                    "var",
-                                    val.index() as u64,
-                                    m,
-                                    "store",
-                                );
-                            }
-                        }
-                        self.pending_slot[k].union_in_place(self.pool.get(val_ref));
-                        self.push_delta(self.v_count + k);
-                    }
-                }
+                self.write_fresh_slots(n, s..e, val, fresh);
             }
             // Growth strictly enlarges pt(ptr), so it can never *become*
             // empty, stay a singleton, or turn back into one. Re-evaluate
             // everything if an unexpected transition ever shows up.
             _ => self.recomp_store_slots(sid),
+        }
+    }
+
+    /// Newly written slots (objects in `fresh`) of the store at node `n`
+    /// gain `pt(val)` on top of their inputs.
+    fn write_fresh_slots(
+        &mut self,
+        n: usize,
+        slots: std::ops::Range<usize>,
+        val: VarId,
+        fresh: &PtsSet,
+    ) {
+        let val_ref = self.pt_vars[val.index()];
+        if self.pool.len_of(val_ref) == 0 {
+            return;
+        }
+        for k in slots {
+            if fresh.contains(self.slot_obj[k]) {
+                if self.trace_explain {
+                    self.trace_store(n, val, self.pool.get(val_ref));
+                }
+                self.pending_slot[k].union_in_place(self.pool.get(val_ref));
+                self.push_delta(self.v_count + k);
+            }
         }
     }
 
@@ -1263,92 +1333,43 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Forwards `fresh` new members of slot `k`'s output along the SVFG.
+    /// Forwards `fresh` new members of slot `k`'s output to its resolved
+    /// successors.
     fn forward_delta(&mut self, k: usize, fresh: &PtsSet) {
-        let svfg = self.svfg;
-        let module = self.module;
-        let s_count = module.stmt_count();
-        let n = VfNodeId::from_index(self.slot_node[k] as usize);
-        let o = self.slot_obj[k];
-        for &(succ, label) in svfg.succs(n) {
-            if label != o {
-                continue;
-            }
-            match svfg.kind(succ) {
-                VfNodeKind::Stmt(sid) if sid.index() < s_count => match &module.stmt(sid).kind {
-                    // A strong slot's output is exactly pt(val): its
-                    // reaching definitions are killed, so their deltas
-                    // must not leak through.
-                    StmtKind::Store { .. }
-                        if self.store_phase[sid.index()] != StorePhase::Strong(o) =>
-                    {
-                        if let Some(j) = self.slot_of(succ.index(), o) {
-                            if self.trace_explain {
-                                let via = self.via_of(n.index(), succ.index(), "merge");
-                                for m in fresh.iter() {
-                                    self.emit_prop(
-                                        false,
-                                        succ.index() as u64,
-                                        m,
-                                        "def",
-                                        n.index() as u64,
-                                        m,
-                                        via,
-                                    );
-                                }
-                            }
-                            self.pending_slot[j].union_in_place(fresh);
-                            self.push_delta(self.v_count + j);
-                        }
+        let (n, o) = (self.slot_node[k] as usize, self.slot_obj[k]);
+        for i in self.succ_base[k] as usize..self.succ_base[k + 1] as usize {
+            match self.succ[i] {
+                // A strong slot's output is exactly pt(val): its reaching
+                // definitions are killed, so their deltas must not leak
+                // through.
+                SlotSucc::Slot {
+                    gate: Some(sid), ..
+                } if self.store_phase[sid.index()] == StorePhase::Strong(o) => {}
+                SlotSucc::Slot { slot, .. } => {
+                    let j = slot as usize;
+                    if self.trace_explain {
+                        let to = self.slot_node[j] as usize;
+                        self.trace_flow(false, to as u64, n, to, fresh, "merge");
                     }
-                    StmtKind::Load { dst, ptr } => {
-                        // P-LOAD is gated on o ∈ pt(ptr); a later pointer
-                        // growth pulls the full input via LoadPtr.
-                        let (dst, ptr) = (*dst, *ptr);
-                        if self.pool.contains(self.pt_vars[ptr.index()], o) {
-                            if self.trace_explain {
-                                let via = self.via_of(n.index(), succ.index(), "load");
-                                for m in fresh.iter() {
-                                    self.emit_prop(
-                                        true,
-                                        dst.index() as u64,
-                                        m,
-                                        "def",
-                                        n.index() as u64,
-                                        m,
-                                        via,
-                                    );
-                                }
-                            }
-                            self.pending_var[dst.index()].union_in_place(fresh);
-                            self.push_delta(dst.index());
-                        }
-                    }
-                    // Other statements read no memory: a changed reaching
-                    // definition cannot affect them.
-                    _ => {}
-                },
-                // Synthetic statement nodes (thread-edge endpoints interned
-                // by tests) define and use nothing.
-                VfNodeKind::Stmt(_) => {}
-                _ => {
-                    if let Some(j) = self.slot_of(succ.index(), o) {
+                    self.pending_slot[j].union_in_place(fresh);
+                    self.push_delta(self.v_count + j);
+                }
+                // P-LOAD is gated on o ∈ pt(ptr); a later pointer growth
+                // pulls the full input via LoadPtr.
+                SlotSucc::Load { node, dst, ptr } => {
+                    if self.pool.contains(self.pt_vars[ptr.index()], o) {
                         if self.trace_explain {
-                            let via = self.via_of(n.index(), succ.index(), "merge");
-                            for m in fresh.iter() {
-                                self.emit_prop(
-                                    false,
-                                    succ.index() as u64,
-                                    m,
-                                    "def",
-                                    n.index() as u64,
-                                    m,
-                                    via,
-                                );
-                            }
+                            self.trace_flow(
+                                true,
+                                dst.index() as u64,
+                                n,
+                                node as usize,
+                                fresh,
+                                "load",
+                            );
                         }
-                        self.pending_slot[j].union_in_place(fresh);
-                        self.push_delta(self.v_count + j);
+                        self.pending_var[dst.index()].union_in_place(fresh);
+                        self.push_delta(dst.index());
                     }
                 }
             }
@@ -1358,35 +1379,12 @@ impl<'a> Solver<'a> {
     /// Non-monotone replacement of slot `k`'s output: everything it feeds
     /// must re-evaluate from full inputs.
     fn forward_recompute(&mut self, k: usize) {
-        let svfg = self.svfg;
-        let module = self.module;
-        let s_count = module.stmt_count();
-        let n = VfNodeId::from_index(self.slot_node[k] as usize);
-        let o = self.slot_obj[k];
-        for &(succ, label) in svfg.succs(n) {
-            if label != o {
-                continue;
-            }
-            match svfg.kind(succ) {
-                VfNodeKind::Stmt(sid) if sid.index() < s_count => match &module.stmt(sid).kind {
-                    StmtKind::Store { .. } => {
-                        if let Some(j) = self.slot_of(succ.index(), o) {
-                            self.push_recomp(self.v_count + j);
-                        }
-                    }
-                    StmtKind::Load { dst, .. } => {
-                        let dst = *dst;
-                        self.push_recomp(dst.index());
-                    }
-                    _ => {}
-                },
-                VfNodeKind::Stmt(_) => {}
-                _ => {
-                    if let Some(j) = self.slot_of(succ.index(), o) {
-                        self.push_recomp(self.v_count + j);
-                    }
-                }
-            }
+        for i in self.succ_base[k] as usize..self.succ_base[k + 1] as usize {
+            let id = match self.succ[i] {
+                SlotSucc::Slot { slot, .. } => self.v_count + slot as usize,
+                SlotSucc::Load { dst, .. } => dst.index(),
+            };
+            self.push_recomp(id);
         }
     }
 
@@ -1479,17 +1477,12 @@ impl<'a> Solver<'a> {
         // Compact: rebuild the pool from the live handles only, dropping
         // every intermediate set the fixpoint iteration interned.
         let mut live = PtsPool::new();
-        let mut memo: HashMap<usize, PtsRef> = HashMap::new();
-        let pt_vars: Vec<PtsRef> = self
-            .pt_vars
-            .iter()
-            .map(|&r| remap(&self.pool, &mut live, &mut memo, r))
-            .collect();
-        let slot_out: Vec<PtsRef> = self
-            .slot_out
-            .iter()
-            .map(|&r| remap(&self.pool, &mut live, &mut memo, r))
-            .collect();
+        let mut memo: Vec<Option<PtsRef>> = vec![None; self.pool.set_count()];
+        let pool = &self.pool;
+        let mut remap =
+            |r: PtsRef| *memo[r.index()].get_or_insert_with(|| live.intern(pool.get(r).clone()));
+        let pt_vars: Vec<PtsRef> = self.pt_vars.iter().map(|&r| remap(r)).collect();
+        let slot_out: Vec<PtsRef> = self.slot_out.iter().map(|&r| remap(r)).collect();
         SparseResult {
             pool: live,
             pt_vars,
@@ -1505,21 +1498,6 @@ impl<'a> Solver<'a> {
 fn slot_lookup(slot_base: &[u32], slot_obj: &[MemId], node: usize, o: MemId) -> Option<usize> {
     let (s, e) = (slot_base[node] as usize, slot_base[node + 1] as usize);
     slot_obj[s..e].binary_search(&o).ok().map(|i| s + i)
-}
-
-/// Re-interns the set behind `r` (from `old`) into `live`, memoized.
-fn remap(
-    old: &PtsPool,
-    live: &mut PtsPool,
-    memo: &mut HashMap<usize, PtsRef>,
-    r: PtsRef,
-) -> PtsRef {
-    if let Some(&nr) = memo.get(&r.index()) {
-        return nr;
-    }
-    let nr = live.intern(old.get(r).clone());
-    memo.insert(r.index(), nr);
-    nr
 }
 
 #[cfg(test)]
@@ -1640,6 +1618,24 @@ mod tests {
           ret
         }
         "#,
+        // A store through a pointer with no targets owns no slots; the
+        // next node's slots must not be read as its own.
+        r#"
+        global cell
+        global box
+        global a
+        func main() {
+        entry:
+          p = &cell
+          q = load p
+          x = &a
+          store q, x
+          b = &box
+          store b, x
+          c = load b
+          ret
+        }
+        "#,
         // Fork: the paper's Figure 1(a) shape.
         r#"
         global x
@@ -1671,6 +1667,7 @@ mod tests {
         for (i, src) in PROGRAMS.iter().enumerate() {
             let m = parse_module(src).unwrap();
             let (pre, svfg) = inputs(&m);
+
             let delta = solve(&m, &pre, &svfg);
             let oracle = crate::recompute::solve_recompute(&m, &pre, &svfg);
             assert!(

@@ -11,10 +11,23 @@
 //! Byte accounting stays exact for the Table 2 memory column:
 //! [`PtsPool::heap_bytes`] sums the interned sets' heap storage plus the
 //! arena and index overhead.
+//!
+//! # The index hash
+//!
+//! The index is keyed on `PtsPool::hash_of`, not SipHash: the wrapping
+//! sum, over the members `m`, of output `m + 1` of a SplitMix64 stream
+//! (`mix`), passed through the hash map unchanged. The stream's seed comes
+//! from `RandomState`, since [`PtsPool::from_sets`] interns sets read from
+//! snapshot files. The hash must be *canonical* — a function of the
+//! members only, never of the representation — so a bitmap that shrank
+//! below the spill threshold interns to the same handle as the equal
+//! small-vector set. As a sum, the hash of a disjoint union is the sum of
+//! the parts' hashes: [`PtsPool::union_delta`] finds an interned union
+//! before building it.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::objects::MemId;
 use crate::set::PtsSet;
@@ -95,7 +108,9 @@ pub struct PtsPool {
     sets: Vec<PtsSet>,
     /// Canonical hash → candidate arena ids (open chaining keeps the sets
     /// stored once, in the arena only).
-    index: HashMap<u64, Vec<u32>>,
+    index: HashMap<u64, Vec<u32>, BuildHasherDefault<PassThrough>>,
+    /// The random seed of `hash_of` (see the module docs).
+    seed: u64,
     /// Running sum of the interned sets' own heap bytes.
     set_bytes: usize,
     /// Intern hit/miss totals (monotonic; not part of pool equality or
@@ -108,7 +123,8 @@ impl PtsPool {
     pub fn new() -> PtsPool {
         let mut pool = PtsPool {
             sets: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
+            seed: RandomState::new().hash_one(0u64),
             set_bytes: 0,
             intern_stats: InternStats::default(),
         };
@@ -119,15 +135,17 @@ impl PtsPool {
         pool
     }
 
-    fn hash_of(set: &PtsSet) -> u64 {
-        let mut h = DefaultHasher::new();
-        set.hash(&mut h);
-        h.finish()
+    /// The canonical hash of `set` (see the module docs).
+    fn hash_of(&self, set: &PtsSet) -> u64 {
+        set.iter().fold(0, |h, m| h.wrapping_add(mix(self.seed, m)))
     }
 
     /// Interns `set`, returning the handle of the canonical copy.
     pub fn intern(&mut self, set: PtsSet) -> PtsRef {
-        let h = Self::hash_of(&set);
+        self.intern_hashed(self.hash_of(&set), set)
+    }
+
+    fn intern_hashed(&mut self, h: u64, set: PtsSet) -> PtsRef {
         let candidates = self.index.entry(h).or_default();
         for &id in candidates.iter() {
             if self.sets[id as usize] == set {
@@ -162,18 +180,26 @@ impl PtsPool {
     /// (`delta \ a`). Returns `(a, ∅)` when nothing is new — no allocation,
     /// no interning.
     pub fn union_delta(&mut self, a: PtsRef, delta: &PtsSet) -> (PtsRef, PtsSet) {
-        let fresh = delta.difference(&self.sets[a.index()]);
+        let base = &self.sets[a.index()];
+        let fresh = delta.difference(base);
         if fresh.is_empty() {
             return (a, fresh);
         }
-        let mut grown = self.sets[a.index()].clone();
+        // `base` and `fresh` are disjoint, so the union's hash is the sum of
+        // theirs: look for an interned copy before building one.
+        let h = self.hash_of(base).wrapping_add(self.hash_of(&fresh));
+        let len = base.len() + fresh.len();
+        let hit = self.index.get(&h).into_iter().flatten().find(|&&id| {
+            let s = &self.sets[id as usize];
+            s.len() == len && fresh.is_subset(s) && base.is_subset(s)
+        });
+        if let Some(&id) = hit {
+            self.intern_stats.hits += 1;
+            return (PtsRef(id), fresh);
+        }
+        let mut grown = base.clone();
         grown.union_in_place(&fresh);
-        (self.intern(grown), fresh)
-    }
-
-    /// `a ∪ b` as an interned handle.
-    pub fn union(&mut self, a: PtsRef, b: &PtsSet) -> PtsRef {
-        self.union_delta(a, b).0
+        (self.intern_hashed(h, grown), fresh)
     }
 
     /// Number of distinct interned sets.
@@ -245,9 +271,42 @@ impl PtsPool {
     }
 }
 
+/// Output `m + 1` of the SplitMix64 stream seeded with `seed`. Its
+/// multiply–xorshift rounds are far from additive, so sums over distinct
+/// sets do not collide systematically.
+fn mix(seed: u64, m: MemId) -> u64 {
+    let step = u64::from(m.raw()) + 1;
+    let mut z = seed.wrapping_add(step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A [`Hasher`] that passes the index's `u64` keys through: they are
+/// already [`PtsPool::hash_of`] values.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the pool index hashes only u64 keys")
+    }
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use fsam_ir::rng::SmallRng;
+
     use super::*;
+    use crate::set::SMALL_MAX;
 
     fn m(i: u32) -> MemId {
         MemId::new(i)
@@ -367,5 +426,74 @@ mod tests {
         let before = pool.heap_bytes();
         pool.intern((0..500).map(m).collect());
         assert!(pool.heap_bytes() > before);
+    }
+
+    /// The ids of `ids` as a set built one of three ways: inserted
+    /// directly (small vector up to `SMALL_MAX`, bitmap past it), or as a
+    /// spilled bitmap shrunk back down by `remove` or by `difference`.
+    fn build(rng: &mut SmallRng, ids: &BTreeSet<u32>) -> PtsSet {
+        let extra: Vec<u32> = (0..=SMALL_MAX as u32).map(|i| 1_000 + 7 * i).collect();
+        match rng.gen_range(0u32..3) {
+            0 => ids.iter().copied().map(m).collect(),
+            1 => {
+                let mut set: PtsSet = ids.iter().chain(&extra).copied().map(m).collect();
+                for &e in &extra {
+                    set.remove(m(e));
+                }
+                set
+            }
+            _ => {
+                let big: PtsSet = ids.iter().chain(&extra).copied().map(m).collect();
+                let drop: PtsSet = extra.iter().copied().map(m).collect();
+                big.difference(&drop)
+            }
+        }
+    }
+
+    /// A random id set on either side of `SMALL_MAX`, from a universe
+    /// small enough that sets overlap and repeat.
+    fn random_ids(rng: &mut SmallRng) -> BTreeSet<u32> {
+        let n = rng.gen_range(0..3 * SMALL_MAX);
+        (0..n).map(|_| rng.gen_range(0u32..150)).collect()
+    }
+
+    /// Seeded properties of interning over random sets in both
+    /// representations: equal sets intern to equal handles (and distinct
+    /// sets to distinct ones), `union_delta(a, d)` is
+    /// `(intern(a ∪ d), d \ a)`, and `from_sets` reproduces every handle.
+    #[test]
+    fn interning_properties_hold_on_random_sets() {
+        let mut rng = SmallRng::seed_from_u64(0x9001);
+        let mut pool = PtsPool::new();
+        let mut model: BTreeMap<BTreeSet<u32>, PtsRef> = BTreeMap::new();
+        model.insert(BTreeSet::new(), PtsRef::EMPTY);
+        let as_ids = |set: &PtsSet| -> BTreeSet<u32> { set.iter().map(MemId::raw).collect() };
+        for _ in 0..2_000 {
+            let ids = random_ids(&mut rng);
+            let r = pool.intern(build(&mut rng, &ids));
+            assert_eq!(*model.entry(ids.clone()).or_insert(r), r, "{ids:?}");
+            assert_eq!(pool.intern(build(&mut rng, &ids)), r, "{ids:?}");
+
+            let a = *model.values().nth(rng.gen_range(0..model.len())).unwrap();
+            let d_ids = random_ids(&mut rng);
+            let a_ids = as_ids(pool.get(a));
+            let (u, fresh) = pool.union_delta(a, &build(&mut rng, &d_ids));
+            let u_ids: BTreeSet<u32> = a_ids.union(&d_ids).copied().collect();
+            assert_eq!(as_ids(pool.get(u)), u_ids);
+            assert_eq!(pool.intern(build(&mut rng, &u_ids)), u);
+            assert_eq!(as_ids(&fresh), d_ids.difference(&a_ids).copied().collect());
+            if fresh.is_empty() {
+                assert_eq!(u, a);
+            }
+            assert_eq!(*model.entry(u_ids).or_insert(u), u);
+        }
+        assert_eq!(pool.set_count(), model.len());
+        let mut rebuilt = PtsPool::from_sets(pool.sets().cloned()).unwrap();
+        for (ids, &r) in &model {
+            assert_eq!(rebuilt.handle(r.index()), Some(r));
+            assert_eq!(as_ids(rebuilt.get(r)), *ids);
+            assert_eq!(rebuilt.intern(build(&mut rng, ids)), r);
+        }
+        assert_eq!(rebuilt.set_count(), pool.set_count());
     }
 }

@@ -15,7 +15,7 @@ use std::hash::{Hash, Hasher};
 use crate::objects::MemId;
 
 /// Sets smaller than this stay in the sorted-vector representation.
-const SMALL_MAX: usize = 16;
+pub(crate) const SMALL_MAX: usize = 16;
 
 #[derive(Clone)]
 enum Repr {
