@@ -68,7 +68,7 @@ pub mod instrument;
 pub mod nonsparse;
 pub mod par;
 pub mod pipeline;
-pub mod queue;
+mod queue;
 pub mod race;
 pub mod recompute;
 pub mod solver;
@@ -79,7 +79,6 @@ pub use instrument::InstrumentationPlan;
 pub use nonsparse::{NonSparseOutcome, NonSparseResult, NonSparseStats};
 pub use par::thread_count;
 pub use pipeline::{Fsam, PhaseConfig, PhaseTimes, Pipeline, StageBuildCounts};
-pub use queue::IndexedPriorityQueue;
 pub use race::{racy_instances, Race};
 pub use recompute::solve_recompute;
 pub use solver::{solve_par, SolverStats, SparseResult};

@@ -15,7 +15,8 @@
 //! The baseline shares the pre-analysis (Andersen) with FSAM for function
 //! pointer resolution, as the paper's implementation does.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 use fsam_andersen::PreAnalysis;
@@ -25,8 +26,6 @@ use fsam_ir::{FuncId, Module, VarId};
 use fsam_mssa::topo::condense;
 use fsam_pts::{MemId, PtsSet};
 use fsam_threads::{ThreadId, ThreadModel};
-
-use crate::queue::IndexedPriorityQueue;
 
 /// Statistics of a NonSparse run.
 #[derive(Clone, Debug, Default)]
@@ -157,12 +156,15 @@ struct Analysis<'a> {
     var_dependents: Vec<Vec<NodeId>>,
     /// Extra propagation edges: joined routine exits -> join node.
     join_edges: Vec<(NodeId, NodeId)>,
-    /// Priority worklist over ICFG nodes, keyed by the topological position
-    /// of each node's SCC in the propagation graph (control-flow successors
-    /// plus join and fork edges). The baseline's transfer functions are
-    /// monotone in the per-point maps, so the fixpoint is order-independent;
-    /// the priority order just reaches it with fewer pops than LIFO.
-    queue: IndexedPriorityQueue,
+    /// Topological position of each ICFG node's SCC in the propagation
+    /// graph (control-flow successors plus join and fork edges).
+    prio: Vec<u32>,
+    /// Min-heap of queued `(prio[node], node)` pairs, each node at most
+    /// once. The baseline's transfer functions are monotone in the
+    /// per-point maps, so the fixpoint is order-independent; the priority
+    /// order just reaches it with fewer pops than LIFO.
+    queue: BinaryHeap<Reverse<(u32, u32)>>,
+    queued: Vec<bool>,
     stats: NonSparseStats,
 }
 
@@ -275,13 +277,18 @@ impl<'a> Analysis<'a> {
             load_nodes,
             var_dependents,
             join_edges,
-            queue: IndexedPriorityQueue::new(order.priority),
+            prio: order.priority,
+            queue: BinaryHeap::new(),
+            queued: vec![false; n],
             stats,
         }
     }
 
     fn push(&mut self, n: NodeId) {
-        self.queue.push(n.index());
+        if !std::mem::replace(&mut self.queued[n.index()], true) {
+            self.queue
+                .push(Reverse((self.prio[n.index()], n.index() as u32)));
+        }
     }
 
     fn grow_var(&mut self, v: VarId, set: &PtsSet) {
@@ -413,7 +420,10 @@ impl<'a> Analysis<'a> {
                                     .union_in_place(&self.pt_vars[val.index()]);
                                 if grew {
                                     for &ld in &self.load_nodes[q.index()] {
-                                        self.queue.push(ld.index());
+                                        let i = ld.index();
+                                        if !std::mem::replace(&mut self.queued[i], true) {
+                                            self.queue.push(Reverse((self.prio[i], i as u32)));
+                                        }
                                     }
                                 }
                             }
@@ -489,8 +499,9 @@ impl<'a> Analysis<'a> {
         for n in self.icfg.node_ids() {
             self.push(n);
         }
-        while let Some(id) = self.queue.pop() {
-            let n = NodeId::from_index(id);
+        while let Some(Reverse((_, id))) = self.queue.pop() {
+            let n = NodeId::from_index(id as usize);
+            self.queued[n.index()] = false;
             self.stats.processed += 1;
             if self.stats.processed == 1 || self.stats.processed.is_multiple_of(256) {
                 if let Some(b) = budget {

@@ -1,130 +1,79 @@
-//! An indexed min-priority worklist.
+//! The delta solver's level-bucket worklist.
 //!
-//! The sparse solvers assign every worklist item a *static* topological
-//! key from the SCC condensation of their def-use graph (see
-//! [`fsam_mssa::topo`]). The delta solver keys on SCC depth and drains one
-//! whole level per round ([`IndexedPriorityQueue::pop_level`]); the
-//! recompute oracle keys on the total priority order and pops one item at
-//! a time ([`IndexedPriorityQueue::pop`]). Either way definitions are
-//! processed before their transitive uses whenever the graph is acyclic,
-//! so a fact crosses each region once per fixpoint round instead of
-//! rippling in LIFO order.
-//!
-//! Priorities never change after construction, so no decrease-key is
-//! needed: a plain binary heap of `(priority, item)` pairs plus a dense
-//! `queued` bitmap (for O(1) dedup) suffices. Ties break on the item id,
-//! keeping pops — and therefore solver results — fully deterministic.
+//! The delta solver keys every worklist item on the topological *level*
+//! of its SCC in the condensation of the def-use graph (see
+//! [`fsam_mssa::topo`]) and drains one whole level per round. Levels are
+//! small dense integers that never change after construction, so the
+//! queue is one bucket of item ids per level, a dense `queued` bitmap for
+//! O(1) dedup, and a cursor at the lowest level that may be non-empty.
+//! A round sorts its bucket, so items come back in ascending id order and
+//! the solve is fully deterministic.
 
-/// A deduplicating min-priority queue over dense item ids with fixed
-/// priorities.
+/// A deduplicating worklist over dense item ids with fixed levels, popped
+/// one level at a time.
 #[derive(Debug)]
-pub struct IndexedPriorityQueue {
-    prio: Vec<u32>,
-    /// Binary min-heap of item ids, ordered by `(prio[id], id)`.
-    heap: Vec<u32>,
+pub(crate) struct LevelQueue {
+    level: Vec<u32>,
+    /// Queued item ids per level, in push order.
+    buckets: Vec<Vec<u32>>,
     queued: Vec<bool>,
+    /// No bucket below `cursor` holds an item.
+    cursor: usize,
+    len: usize,
 }
 
-impl IndexedPriorityQueue {
-    /// Creates a queue for items `0..prio.len()`, each with its fixed
-    /// priority.
-    pub fn new(prio: Vec<u32>) -> Self {
-        let n = prio.len();
-        IndexedPriorityQueue {
-            prio,
-            heap: Vec::new(),
-            queued: vec![false; n],
+impl LevelQueue {
+    /// Creates a queue for items `0..level.len()`, each with its fixed
+    /// level.
+    pub(crate) fn new(level: Vec<u32>) -> Self {
+        let levels = level.iter().max().map_or(0, |&l| l as usize + 1);
+        LevelQueue {
+            queued: vec![false; level.len()],
+            level,
+            buckets: vec![Vec::new(); levels],
+            cursor: levels,
+            len: 0,
         }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    #[inline]
-    fn key(&self, id: u32) -> (u32, u32) {
-        (self.prio[id as usize], id)
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Enqueues `id`; returns `false` if it was already queued.
-    pub fn push(&mut self, id: usize) -> bool {
-        if self.queued[id] {
+    pub(crate) fn push(&mut self, id: usize) -> bool {
+        if std::mem::replace(&mut self.queued[id], true) {
             return false;
         }
-        self.queued[id] = true;
-        self.heap.push(id as u32);
-        self.sift_up(self.heap.len() - 1);
+        let l = self.level[id] as usize;
+        self.buckets[l].push(id as u32);
+        self.cursor = self.cursor.min(l);
+        self.len += 1;
         true
     }
 
-    /// Pops the queued item with the smallest `(priority, id)`.
-    pub fn pop(&mut self) -> Option<usize> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
-        self.queued[top as usize] = false;
-        Some(top as usize)
-    }
-
-    /// Pops *every* queued item sharing the current smallest priority,
-    /// appending them to `out` in ascending id order (the heap's tie-break).
+    /// Pops *every* queued item of the lowest queued level into `out`
+    /// (cleared first), in ascending id order.
     ///
-    /// One call is one round of the delta solver's level drain: with the
-    /// queue keyed on topological *levels* rather than the total priority
-    /// order, everything returned here is mutually independent outside its
-    /// own SCC. `out` is cleared first. Items pushed back while the batch
-    /// is being processed re-enter the queue for a later call.
-    pub fn pop_level(&mut self, out: &mut Vec<usize>) {
+    /// One call is one round of the delta solver's level drain: everything
+    /// returned is mutually independent outside its own SCC. Items pushed
+    /// back while the batch is being processed re-enter the queue for a
+    /// later call, even at the same level.
+    pub(crate) fn pop_level(&mut self, out: &mut Vec<u32>) {
         out.clear();
-        let Some(&first) = self.heap.first() else {
+        if self.len == 0 {
             return;
-        };
-        let level = self.prio[first as usize];
-        while let Some(&top) = self.heap.first() {
-            if self.prio[top as usize] != level {
-                break;
-            }
-            out.push(self.pop().expect("non-empty heap"));
         }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.key(self.heap[i]) < self.key(self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+        while self.buckets[self.cursor].is_empty() {
+            self.cursor += 1;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.key(self.heap[l]) < self.key(self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.key(self.heap[r]) < self.key(self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
+        std::mem::swap(out, &mut self.buckets[self.cursor]);
+        out.sort_unstable();
+        for &id in out.iter() {
+            self.queued[id as usize] = false;
         }
+        self.len -= out.len();
     }
 }
 
@@ -132,97 +81,98 @@ impl IndexedPriorityQueue {
 mod tests {
     use super::*;
 
+    fn drain(q: &mut LevelQueue) -> Vec<Vec<u32>> {
+        let mut batches = Vec::new();
+        let mut batch = Vec::new();
+        while !q.is_empty() {
+            q.pop_level(&mut batch);
+            batches.push(batch.clone());
+        }
+        batches
+    }
+
     #[test]
-    fn pops_in_priority_order() {
-        let mut q = IndexedPriorityQueue::new(vec![3, 0, 2, 1]);
-        for i in 0..4 {
+    fn pop_level_drains_exactly_one_band_in_id_order() {
+        let mut q = LevelQueue::new(vec![1, 0, 1, 0, 2, 1]);
+        for i in [5, 4, 3, 2, 1, 0] {
             assert!(q.push(i));
         }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, vec![1, 3, 2, 0]);
-        assert!(q.is_empty());
+        assert_eq!(drain(&mut q), vec![vec![1, 3], vec![0, 2, 5], vec![4]]);
+        let mut batch = vec![7];
+        q.pop_level(&mut batch);
+        assert!(batch.is_empty(), "empty queue yields an empty batch");
     }
 
     #[test]
     fn push_deduplicates_until_popped() {
-        let mut q = IndexedPriorityQueue::new(vec![0, 1]);
+        let mut q = LevelQueue::new(vec![0, 1]);
         assert!(q.push(0));
         assert!(!q.push(0));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some(0));
-        assert!(q.push(0), "re-queuable after pop");
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn equal_priorities_break_ties_by_id() {
-        let mut q = IndexedPriorityQueue::new(vec![5; 6]);
-        for i in [4, 2, 0, 5, 1, 3] {
-            q.push(i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn pop_level_drains_exactly_one_priority_band() {
-        let mut q = IndexedPriorityQueue::new(vec![1, 0, 1, 0, 2, 1]);
-        for i in 0..6 {
-            q.push(i);
-        }
         let mut batch = Vec::new();
         q.pop_level(&mut batch);
-        assert_eq!(batch, vec![1, 3], "level 0, ascending id");
-        q.pop_level(&mut batch);
-        assert_eq!(batch, vec![0, 2, 5], "level 1, ascending id");
-        q.pop_level(&mut batch);
-        assert_eq!(batch, vec![4]);
-        q.pop_level(&mut batch);
-        assert!(batch.is_empty(), "empty queue yields an empty batch");
+        assert_eq!(batch, vec![0]);
         assert!(q.is_empty());
+        assert!(q.push(0), "re-queuable after pop");
+        assert!(!q.is_empty());
     }
 
     #[test]
-    fn pop_level_items_can_requeue_for_a_later_batch() {
-        let mut q = IndexedPriorityQueue::new(vec![0, 0, 1]);
+    fn items_requeued_mid_batch_come_back_in_a_later_call() {
+        let mut q = LevelQueue::new(vec![0, 0, 1]);
         q.push(0);
         q.push(1);
         let mut batch = Vec::new();
         q.pop_level(&mut batch);
         assert_eq!(batch, vec![0, 1]);
         // A popped item pushed back mid-batch lands in a later call, even at
-        // the same priority.
+        // the same level.
         assert!(q.push(1));
         assert!(q.push(2));
-        q.pop_level(&mut batch);
-        assert_eq!(batch, vec![1]);
-        q.pop_level(&mut batch);
-        assert_eq!(batch, vec![2]);
+        assert_eq!(drain(&mut q), vec![vec![1], vec![2]]);
     }
 
     #[test]
-    fn interleaved_push_pop_keeps_heap_invariant() {
+    fn push_below_the_cursor_moves_it_back() {
+        let mut q = LevelQueue::new(vec![0, 1, 2, 3]);
+        q.push(2);
+        q.push(3);
+        let mut batch = Vec::new();
+        q.pop_level(&mut batch);
+        assert_eq!(batch, vec![2], "cursor advanced to level 2");
+        q.push(0);
+        q.push(1);
+        assert_eq!(drain(&mut q), vec![vec![0], vec![1], vec![3]]);
+    }
+
+    /// Random pushes and pops against a sorted `(level, id)` reference:
+    /// every batch is the reference's lowest level, in id order.
+    #[test]
+    fn batches_match_a_sorted_reference_randomized() {
         use fsam_ir::rng::SmallRng;
+        use std::collections::BTreeSet;
         let mut rng = SmallRng::seed_from_u64(0x90E0E);
-        let n = 64usize;
-        let prio: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..8)).collect();
-        let mut q = IndexedPriorityQueue::new(prio.clone());
-        let mut queued = vec![false; n];
-        for _ in 0..1000 {
-            if rng.gen_bool(0.6) {
-                let id = rng.gen_range(0u32..n as u32) as usize;
-                assert_eq!(q.push(id), !queued[id]);
-                queued[id] = true;
-            } else if let Some(popped) = q.pop() {
-                assert!(queued[popped]);
-                queued[popped] = false;
-                // Min-heap property: nothing queued has a smaller key.
-                for (id, &still) in queued.iter().enumerate() {
-                    if still {
-                        assert!((prio[popped], popped) < (prio[id], id));
-                    }
+        for _ in 0..20 {
+            let n = rng.gen_range(1usize..64);
+            let level: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..8)).collect();
+            let mut q = LevelQueue::new(level.clone());
+            let mut model: BTreeSet<(u32, u32)> = BTreeSet::new();
+            let mut batch = Vec::new();
+            for _ in 0..500 {
+                if rng.gen_bool(0.7) {
+                    let id = rng.gen_range(0u32..n as u32);
+                    assert_eq!(q.push(id as usize), model.insert((level[id as usize], id)));
+                } else {
+                    q.pop_level(&mut batch);
+                    let want: Vec<u32> = match model.first() {
+                        Some(&(l, _)) => {
+                            model.iter().take_while(|e| e.0 == l).map(|e| e.1).collect()
+                        }
+                        None => Vec::new(),
+                    };
+                    model.retain(|e| !want.contains(&e.1));
+                    assert_eq!(batch, want);
                 }
+                assert_eq!(q.is_empty(), model.is_empty());
             }
         }
     }

@@ -18,19 +18,20 @@
 //! everything is monotone, so the fixpoint exists and the worklist
 //! terminates.
 //!
-//! The worklist uses the **same topological priority schedule** as the
-//! delta solver ([`Svfg::solve_order`]). Strong updates make the system
-//! non-monotone, so the fixpoint a solver converges to depends on the
-//! order in which the bounded `∅ → singleton → multi` races resolve
-//! relative to downstream propagation: a transiently-leaked member can be
-//! locked into a def-use cycle that replacement can never drain. Sharing
-//! the schedule pins both solvers to the same resolution of those races,
-//! so a divergence in the equivalence suite indicates a genuine
-//! difference-propagation bug rather than a benign order effect — and the
-//! priority order settles store pointers before downstream propagation
-//! wherever the graph is acyclic, which is the *smaller* of the fixpoints.
+//! The worklist pops **one item at a time in the total topological
+//! priority order** (`TopoOrder::priority`, via [`Svfg::solve_order`]),
+//! not the delta solver's level drain, so the referee does not share the
+//! schedule it checks: std's `BinaryHeap` of reversed `(priority, item)`
+//! pairs (ties break on the id) plus a `queued` bitmap for dedup. Strong
+//! updates make the system non-monotone, so the fixpoint could in
+//! principle depend on the order in which the bounded `∅ → singleton →
+//! multi` races resolve. Both orders settle store pointers before
+//! downstream propagation wherever the graph is acyclic, and the
+//! equivalence suite asserts that both solvers reach the same points-to
+//! state on every suite program.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use fsam_andersen::PreAnalysis;
 use fsam_ir::stmt::{StmtKind, Terminator};
@@ -38,7 +39,6 @@ use fsam_ir::{Module, StmtId, VarId};
 use fsam_mssa::{NodeId as VfNodeId, NodeKind as VfNodeKind, Svfg};
 use fsam_pts::{MemId, PtsSet};
 
-use crate::queue::IndexedPriorityQueue;
 use crate::solver::{SolverStats, SparseResult};
 
 /// Runs the recompute-and-replace solver over the (thread-aware) SVFG.
@@ -109,7 +109,11 @@ struct Solver<'a> {
     s_count: usize,
     v_count: usize,
     n_count: usize,
-    queue: IndexedPriorityQueue,
+    /// Fixed priority per item id.
+    prio: Vec<u32>,
+    /// Min-heap of queued `(prio[id], id)` pairs, each id at most once.
+    queue: BinaryHeap<Reverse<(u32, u32)>>,
+    queued: Vec<bool>,
     stats: SolverStats,
 }
 
@@ -154,30 +158,13 @@ impl<'a> Solver<'a> {
                 var_prio[v.index()] = order.stmt_prio[d.index()];
             }
         }
-
-        let mut solver = Solver {
-            module,
-            pre,
-            svfg,
-            pt_vars: vec![PtsSet::new(); v_count],
-            pt_defs: HashMap::new(),
-            var_sources: vec![Vec::new(); v_count],
-            var_dependents: vec![Vec::new(); v_count],
-            preds_by_obj,
-            store_obj_ids,
-            store_obj_items,
-            s_count,
-            v_count,
-            n_count,
-            queue: IndexedPriorityQueue::new(Vec::new()),
-            stats: SolverStats::default(),
-        };
-        solver.build_sources(&order.stmt_prio, &mut var_prio);
+        let (var_sources, var_dependents) =
+            Self::build_sources(module, pre, &order.stmt_prio, &mut var_prio);
 
         let mut prio = order.stmt_prio.clone();
         prio.extend_from_slice(&var_prio);
         prio.extend_from_slice(&order.node_prio);
-        for &(sid, _) in &solver.store_obj_items {
+        for &(sid, _) in &store_obj_items {
             prio.push(order.stmt_prio[sid.index()]);
         }
         for p in prio.iter_mut() {
@@ -185,24 +172,48 @@ impl<'a> Solver<'a> {
                 *p = 0;
             }
         }
-        solver.queue = IndexedPriorityQueue::new(prio);
-        solver
+
+        Solver {
+            module,
+            pre,
+            svfg,
+            pt_vars: vec![PtsSet::new(); v_count],
+            pt_defs: HashMap::new(),
+            var_sources,
+            var_dependents,
+            preds_by_obj,
+            store_obj_ids,
+            store_obj_items,
+            s_count,
+            v_count,
+            n_count,
+            queued: vec![false; prio.len()],
+            prio,
+            queue: BinaryHeap::new(),
+            stats: SolverStats::default(),
+        }
     }
 
     /// Collects the complete source list per variable and the dependency
     /// edges that drive recomputation. Binding a parameter at a call site
     /// also lowers the parameter's priority to the site's (parameters have
-    /// no def site) — the same rule the delta solver applies, so both
-    /// worklists share one schedule.
-    fn build_sources(&mut self, stmt_prio: &[u32], var_prio: &mut [u32]) {
-        let module = self.module;
+    /// no def site) — the same rule the delta solver applies to its
+    /// levels.
+    fn build_sources(
+        module: &Module,
+        pre: &PreAnalysis,
+        stmt_prio: &[u32],
+        var_prio: &mut [u32],
+    ) -> (Vec<Vec<VarSource>>, Vec<Vec<Item>>) {
+        let mut var_sources = vec![Vec::new(); module.var_count()];
+        let mut var_dependents = vec![Vec::new(); module.var_count()];
         // Syntactic uses: a statement re-evaluates when an operand changes.
         for (sid, stmt) in module.stmts() {
             for u in stmt.uses() {
-                self.var_dependents[u.index()].push(Item::Stmt(sid));
+                var_dependents[u.index()].push(Item::Stmt(sid));
             }
         }
-        let cg = self.pre.call_graph();
+        let cg = pre.call_graph();
         // Per-function return variables.
         let returns: Vec<Vec<VarId>> = module
             .funcs()
@@ -218,36 +229,36 @@ impl<'a> Solver<'a> {
         for (sid, stmt) in module.stmts() {
             match &stmt.kind {
                 StmtKind::Addr { dst, obj } => {
-                    let m = self.pre.objects().base(*obj);
-                    self.var_sources[dst.index()].push(VarSource::Obj(m));
+                    let m = pre.objects().base(*obj);
+                    var_sources[dst.index()].push(VarSource::Obj(m));
                 }
                 StmtKind::Copy { dst, src } => {
-                    self.var_sources[dst.index()].push(VarSource::Var(*src));
+                    var_sources[dst.index()].push(VarSource::Var(*src));
                 }
                 StmtKind::Phi { dst, arms } => {
                     for arm in arms {
-                        self.var_sources[dst.index()].push(VarSource::Var(arm.var));
+                        var_sources[dst.index()].push(VarSource::Var(arm.var));
                     }
                 }
                 StmtKind::Load { dst, ptr } => {
-                    self.var_sources[dst.index()].push(VarSource::LoadAt(sid, *ptr));
+                    var_sources[dst.index()].push(VarSource::LoadAt(sid, *ptr));
                 }
                 StmtKind::Gep { dst, base, field } => {
-                    self.var_sources[dst.index()].push(VarSource::Gep(*base, *field));
+                    var_sources[dst.index()].push(VarSource::Gep(*base, *field));
                 }
                 StmtKind::Call { args, dst, .. } => {
                     for callee in cg.targets(sid) {
                         let params = &module.func(callee).params;
                         for (&a, &p) in args.iter().zip(params.iter()) {
-                            self.var_sources[p.index()].push(VarSource::Var(a));
-                            self.var_dependents[a.index()].push(Item::Var(p));
+                            var_sources[p.index()].push(VarSource::Var(a));
+                            var_dependents[a.index()].push(Item::Var(p));
                             var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
                         }
                         if let Some(d) = dst {
                             if !module.func(callee).is_external {
                                 for &r in &returns[callee.index()] {
-                                    self.var_sources[d.index()].push(VarSource::Var(r));
-                                    self.var_dependents[r.index()].push(Item::Var(*d));
+                                    var_sources[d.index()].push(VarSource::Var(r));
+                                    var_dependents[r.index()].push(Item::Var(*d));
                                 }
                             }
                         }
@@ -259,13 +270,13 @@ impl<'a> Solver<'a> {
                     handle_obj,
                     ..
                 } => {
-                    let m = self.pre.objects().base(*handle_obj);
-                    self.var_sources[dst.index()].push(VarSource::Obj(m));
+                    let m = pre.objects().base(*handle_obj);
+                    var_sources[dst.index()].push(VarSource::Obj(m));
                     for callee in cg.targets(sid) {
                         let params = &module.func(callee).params;
                         if let (Some(&a), Some(&p)) = (arg.as_ref(), params.first()) {
-                            self.var_sources[p.index()].push(VarSource::Var(a));
-                            self.var_dependents[a.index()].push(Item::Var(p));
+                            var_sources[p.index()].push(VarSource::Var(a));
+                            var_dependents[a.index()].push(Item::Var(p));
                             var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
                         }
                     }
@@ -286,6 +297,7 @@ impl<'a> Solver<'a> {
                 | StmtKind::AtomicRmw { .. } => {}
             }
         }
+        (var_sources, var_dependents)
     }
 
     fn push(&mut self, item: Item) {
@@ -298,7 +310,9 @@ impl<'a> Solver<'a> {
                 self.s_count + self.v_count + self.n_count + k
             }
         };
-        self.queue.push(id);
+        if !std::mem::replace(&mut self.queued[id], true) {
+            self.queue.push(Reverse((self.prio[id], id as u32)));
+        }
     }
 
     fn item_of(&self, id: usize) -> Item {
@@ -502,8 +516,9 @@ impl<'a> Solver<'a> {
         // than spin forever.
         let limit =
             50_000usize.saturating_mul(self.module.stmt_count() + self.svfg.node_count() + 64);
-        while let Some(id) = self.queue.pop() {
-            let item = self.item_of(id);
+        while let Some(Reverse((_, id))) = self.queue.pop() {
+            self.queued[id as usize] = false;
+            let item = self.item_of(id as usize);
             self.stats.processed += 1;
             assert!(
                 self.stats.processed <= limit,

@@ -21,7 +21,7 @@
 //! non-monotone cases introduced by strong updates — a store's output
 //! *shrinks* when its pointer's points-to set becomes a known singleton.
 //! Each store tracks its pointer through a `∅ → singleton → multi` phase
-//! flag ([`StorePhase`]); only the phase transitions (and explicit
+//! flag (`StorePhase`); only the phase transitions (and explicit
 //! non-monotone replacements, which cascade a recompute downstream) fall
 //! back to re-evaluating a definition from its complete inputs, so the
 //! fallback fires a bounded number of times per store. At quiescence every
@@ -31,13 +31,13 @@
 //!
 //! # Level order
 //!
-//! The worklist is an [`IndexedPriorityQueue`](crate::queue) keyed on the
-//! topological *depth* of each item's SCC in the condensation of the
-//! combined def-use graph ([`fsam_mssa::topo::TopoOrder::level`], via
-//! [`Svfg::solve_order`]). The solver drains it one level at a time
-//! ([`IndexedPriorityQueue::pop_level`]), visiting the level's items in
-//! ascending id order; items pushed meanwhile re-enter the queue for a
-//! later round. Definitions are processed before their transitive uses
+//! Every worklist item is keyed on the topological *depth* of its SCC in
+//! the condensation of the combined def-use graph
+//! ([`fsam_mssa::topo::TopoOrder::level`], via [`Svfg::solve_order`]).
+//! Levels are small dense integers, so the worklist is one bucket of item
+//! ids per level with a cursor at the lowest non-empty one. The solver
+//! drains one level per round, visiting its items in ascending id order;
+//! items pushed meanwhile re-enter the queue for a later round. Definitions are processed before their transitive uses
 //! wherever the graph is acyclic, and because independent SCCs share a
 //! depth, a whole band of them drains together instead of one component
 //! at a time — on the suite this needs a fraction of the worklist items
@@ -73,7 +73,7 @@ use fsam_mssa::{NodeId as VfNodeId, NodeKind as VfNodeKind, Svfg};
 use fsam_pts::{MemId, PtsPool, PtsRef, PtsSet};
 use fsam_trace::{FieldValue, Recorder, SpanId};
 
-use crate::queue::IndexedPriorityQueue;
+use crate::queue::LevelQueue;
 
 /// Solver statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -493,7 +493,7 @@ struct Solver<'a> {
     pending_slot: Vec<PtsSet>,
     /// Queued mode per item (vars `0..V`, then slots `V..V+K`).
     mode: Vec<u8>,
-    queue: IndexedPriorityQueue,
+    queue: LevelQueue,
     v_count: usize,
     stats: SolverStats,
     /// Tracing sink (None when disabled — the hot loop pays nothing).
@@ -624,21 +624,29 @@ impl<'a> Solver<'a> {
         in_slot_base.push(in_slot.len() as u32);
 
         let order = svfg.solve_order(module, pre.call_graph());
-        let mut var_level = vec![u32::MAX; v_count];
+        let mut level = vec![u32::MAX; v_count];
         for v in module.var_ids() {
             if let Some(d) = svfg.var_def(v) {
-                var_level[v.index()] = order.stmt_level[d.index()];
+                level[v.index()] = order.stmt_level[d.index()];
+            }
+        }
+        let (var_sources, var_deps) =
+            Self::build_sources(module, pre, &order.stmt_level, &mut level);
+        level.extend(slot_node.iter().map(|&n| order.node_level[n as usize]));
+        for l in level.iter_mut() {
+            if *l == u32::MAX {
+                *l = 0;
             }
         }
 
-        let mut solver = Solver {
+        Solver {
             module,
             pre,
             svfg,
             pool: PtsPool::new(),
             pt_vars: vec![PtsRef::EMPTY; v_count],
-            var_sources: vec![Vec::new(); v_count],
-            var_deps: vec![Vec::new(); v_count],
+            var_sources,
+            var_deps,
             slot_base,
             slot_obj,
             slot_out: vec![PtsRef::EMPTY; k_count],
@@ -655,35 +663,27 @@ impl<'a> Solver<'a> {
             pending_var: vec![PtsSet::new(); v_count],
             pending_slot: vec![PtsSet::new(); k_count],
             mode: vec![0; v_count + k_count],
-            queue: IndexedPriorityQueue::new(Vec::new()),
+            queue: LevelQueue::new(level),
             v_count,
             stats: SolverStats::default(),
             trace: None,
             trace_span: None,
             trace_explain: false,
-        };
-        solver.build_sources(&order.stmt_level, &mut var_level);
-
-        let mut level = var_level;
-        for &n in &solver.slot_node {
-            level.push(order.node_level[n as usize]);
         }
-        for l in level.iter_mut() {
-            if *l == u32::MAX {
-                *l = 0;
-            }
-        }
-        solver.queue = IndexedPriorityQueue::new(level);
-        solver
     }
 
     /// Collects the complete source list and forward dependencies per
     /// variable. Binding a parameter at a call site also lowers the
     /// parameter's queue key (its level) to the site's (parameters have no
     /// def site).
-    fn build_sources(&mut self, stmt_key: &[u32], var_key: &mut [u32]) {
-        let module = self.module;
-        let pre = self.pre;
+    fn build_sources(
+        module: &Module,
+        pre: &PreAnalysis,
+        stmt_key: &[u32],
+        var_key: &mut [u32],
+    ) -> (Vec<Vec<VarSource>>, Vec<Vec<VarDep>>) {
+        let mut var_sources = vec![Vec::new(); module.var_count()];
+        let mut var_deps = vec![Vec::new(); module.var_count()];
         let cg = pre.call_graph();
         // Per-function return variables.
         let returns: Vec<Vec<VarId>> = module
@@ -701,43 +701,43 @@ impl<'a> Solver<'a> {
             match &stmt.kind {
                 StmtKind::Addr { dst, obj } => {
                     let m = pre.objects().base(*obj);
-                    self.var_sources[dst.index()].push(VarSource::Obj(m));
+                    var_sources[dst.index()].push(VarSource::Obj(m));
                 }
                 StmtKind::Copy { dst, src } => {
-                    self.var_sources[dst.index()].push(VarSource::Var(*src));
-                    self.var_deps[src.index()].push(VarDep::Flow(*dst));
+                    var_sources[dst.index()].push(VarSource::Var(*src));
+                    var_deps[src.index()].push(VarDep::Flow(*dst));
                 }
                 StmtKind::Phi { dst, arms } => {
                     for arm in arms {
-                        self.var_sources[dst.index()].push(VarSource::Var(arm.var));
-                        self.var_deps[arm.var.index()].push(VarDep::Flow(*dst));
+                        var_sources[dst.index()].push(VarSource::Var(arm.var));
+                        var_deps[arm.var.index()].push(VarDep::Flow(*dst));
                     }
                 }
                 StmtKind::Load { dst, ptr } => {
-                    self.var_sources[dst.index()].push(VarSource::LoadAt(sid, *ptr));
-                    self.var_deps[ptr.index()].push(VarDep::LoadPtr(sid, *dst));
+                    var_sources[dst.index()].push(VarSource::LoadAt(sid, *ptr));
+                    var_deps[ptr.index()].push(VarDep::LoadPtr(sid, *dst));
                 }
                 StmtKind::Gep { dst, base, field } => {
-                    self.var_sources[dst.index()].push(VarSource::Gep(*base, *field));
-                    self.var_deps[base.index()].push(VarDep::Gep(*dst, *field));
+                    var_sources[dst.index()].push(VarSource::Gep(*base, *field));
+                    var_deps[base.index()].push(VarDep::Gep(*dst, *field));
                 }
                 StmtKind::Store { ptr, val } => {
-                    self.var_deps[ptr.index()].push(VarDep::StorePtr(sid));
-                    self.var_deps[val.index()].push(VarDep::StoreVal(sid));
+                    var_deps[ptr.index()].push(VarDep::StorePtr(sid));
+                    var_deps[val.index()].push(VarDep::StoreVal(sid));
                 }
                 StmtKind::Call { args, dst, .. } => {
                     for callee in cg.targets(sid) {
                         let params = &module.func(callee).params;
                         for (&a, &p) in args.iter().zip(params.iter()) {
-                            self.var_sources[p.index()].push(VarSource::Var(a));
-                            self.var_deps[a.index()].push(VarDep::Flow(p));
+                            var_sources[p.index()].push(VarSource::Var(a));
+                            var_deps[a.index()].push(VarDep::Flow(p));
                             var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                         if let Some(d) = dst {
                             if !module.func(callee).is_external {
                                 for &r in &returns[callee.index()] {
-                                    self.var_sources[d.index()].push(VarSource::Var(r));
-                                    self.var_deps[r.index()].push(VarDep::Flow(*d));
+                                    var_sources[d.index()].push(VarSource::Var(r));
+                                    var_deps[r.index()].push(VarDep::Flow(*d));
                                 }
                             }
                         }
@@ -750,12 +750,12 @@ impl<'a> Solver<'a> {
                     ..
                 } => {
                     let m = pre.objects().base(*handle_obj);
-                    self.var_sources[dst.index()].push(VarSource::Obj(m));
+                    var_sources[dst.index()].push(VarSource::Obj(m));
                     for callee in cg.targets(sid) {
                         let params = &module.func(callee).params;
                         if let (Some(&a), Some(&p)) = (arg.as_ref(), params.first()) {
-                            self.var_sources[p.index()].push(VarSource::Var(a));
-                            self.var_deps[a.index()].push(VarDep::Flow(p));
+                            var_sources[p.index()].push(VarSource::Var(a));
+                            var_deps[a.index()].push(VarDep::Flow(p));
                             var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                     }
@@ -775,6 +775,7 @@ impl<'a> Solver<'a> {
                 | StmtKind::AtomicRmw { .. } => {}
             }
         }
+        (var_sources, var_deps)
     }
 
     fn slot_of(&self, node: usize, o: MemId) -> Option<usize> {
@@ -1437,10 +1438,10 @@ impl<'a> Solver<'a> {
     fn run(mut self) -> SparseResult {
         self.seed();
         let limit = self.item_limit();
-        let mut batch: Vec<usize> = Vec::new();
+        let mut batch: Vec<u32> = Vec::new();
         while !self.queue.is_empty() {
             self.queue.pop_level(&mut batch);
-            for &id in &batch {
+            for id in batch.iter().map(|&id| id as usize) {
                 let m = std::mem::replace(&mut self.mode[id], 0);
                 self.stats.processed += 1;
                 assert!(

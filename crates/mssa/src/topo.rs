@@ -37,20 +37,6 @@ pub struct TopoOrder {
     pub level: Vec<u32>,
     /// Number of components.
     pub comp_count: usize,
-    /// Number of distinct levels (`max(level) + 1`, 0 for the empty graph).
-    pub level_count: usize,
-}
-
-impl TopoOrder {
-    /// How many vertices sit at each level — the width profile of the
-    /// solver's level drain (level `l`'s width bounds its batch size).
-    pub fn level_widths(&self) -> Vec<u32> {
-        let mut widths = vec![0u32; self.level_count];
-        for &l in &self.level {
-            widths[l as usize] += 1;
-        }
-        widths
-    }
 }
 
 /// Condenses the graph `adj` (dense vertex ids, successor lists) into SCCs
@@ -133,11 +119,6 @@ pub fn condense(adj: &[Vec<u32>]) -> TopoOrder {
             }
         }
     }
-    let level_count = comp_level
-        .iter()
-        .map(|&l| l as usize + 1)
-        .max()
-        .unwrap_or(0);
     let level = comp.iter().map(|&c| comp_level[c as usize]).collect();
 
     TopoOrder {
@@ -145,7 +126,6 @@ pub fn condense(adj: &[Vec<u32>]) -> TopoOrder {
         priority,
         level,
         comp_count: comps as usize,
-        level_count,
     }
 }
 
@@ -345,9 +325,7 @@ mod tests {
         let adj = vec![vec![1], vec![2], vec![3], vec![]];
         let order = condense(&adj);
         assert_eq!(order.level, vec![0, 1, 2, 3]);
-        assert_eq!(order.level_count, 4);
         assert!(levels_are_topological(&adj, &order));
-        assert_eq!(order.level_widths(), vec![1, 1, 1, 1]);
     }
 
     #[test]
@@ -360,8 +338,6 @@ mod tests {
         assert_ne!(order.priority[1], order.priority[2]);
         assert_eq!(order.level[1], order.level[2]);
         assert_eq!(order.level, vec![0, 1, 1, 2]);
-        assert_eq!(order.level_count, 3);
-        assert_eq!(order.level_widths(), vec![1, 2, 1]);
         assert!(levels_are_topological(&adj, &order));
     }
 
@@ -371,15 +347,13 @@ mod tests {
         let adj = vec![vec![1], vec![2], vec![1, 3], vec![]];
         let order = condense(&adj);
         assert_eq!(order.level, vec![0, 1, 1, 2]);
-        assert_eq!(order.level_count, 3);
         assert!(levels_are_topological(&adj, &order));
     }
 
     #[test]
     fn empty_graph_has_no_levels() {
         let order = condense(&[]);
-        assert_eq!(order.level_count, 0);
-        assert!(order.level_widths().is_empty());
+        assert!(order.level.is_empty());
     }
 
     #[test]
@@ -397,10 +371,6 @@ mod tests {
             }
             let order = condense(&adj);
             assert!(levels_are_topological(&adj, &order));
-            assert_eq!(
-                order.level_widths().iter().sum::<u32>() as usize,
-                order.level.len()
-            );
         }
     }
 

@@ -29,7 +29,7 @@ enum Repr {
 ///
 /// Equality and hashing are *canonical* (element-wise): two sets holding the
 /// same ids compare equal and hash identically even when their
-/// representations differ (a bitmap can drop to ≤ [`SMALL_MAX`] elements
+/// representations differ (a bitmap can drop to ≤ `SMALL_MAX` (16) elements
 /// after removals and still compare equal to a small-vector set). The
 /// hash-consing [`PtsPool`](crate::pool::PtsPool) relies on this.
 #[derive(Clone)]

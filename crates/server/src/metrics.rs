@@ -29,7 +29,7 @@
 //! one tick early, still inside every window that covers it, and in the
 //! lifetime totals regardless. Samples are never lost or double-counted
 //! (each record bumps exactly one slot plus the lifetime totals; a slot
-//! is not reused for [`SLOTS`] ticks ≈ one minute).
+//! is not reused for `SLOTS` (64) ticks ≈ one minute).
 //!
 //! # Percentiles
 //!
@@ -42,7 +42,7 @@
 //! # Slow-query log
 //!
 //! A bounded lock-striped ring of the worst batches ([`SlowLog`]): each
-//! stripe keeps its worst [`SLOW_PER_STRIPE`] entries behind a mutex
+//! stripe keeps its worst `SLOW_PER_STRIPE` (8) entries behind a mutex
 //! guarded by a lock-free threshold check, so fast batches skip the lock
 //! entirely once the stripe is full. `Stats` serves the merged worst-N.
 

@@ -10,7 +10,7 @@
 //! * the length prefix is validated against [`MAX_FRAME`] *before* the
 //!   payload buffer is allocated;
 //! * every field read inside the payload is bounds-checked by
-//!   [`Reader`](fsam_query::codec::Reader), and decoding must consume the
+//!   [`Reader`], and decoding must consume the
 //!   payload exactly ([`CodecError::Trailing`] otherwise);
 //! * a connection closing cleanly *between* frames is not an error
 //!   ([`read_frame`] returns `None`); closing mid-frame is.

@@ -167,7 +167,7 @@ impl RegionRelation {
     }
 
     /// Reassembles a relation from its serialized parts: the dense region
-    /// map ([`NO_REGION`] = none), the region count and the row-major bit
+    /// map (`u32::MAX` = none), the region count and the row-major bit
     /// words. Every invariant the queries rely on is validated, so a corrupt
     /// snapshot can neither index out of bounds nor answer asymmetrically.
     pub fn from_parts(

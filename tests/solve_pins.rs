@@ -8,13 +8,20 @@
 //!
 //! Rows cover the ten suite programs and the three sync programs under all
 //! five phase configurations at `Scale::SMOKE`, plus x264 at scale 0.32
-//! under the full configuration. Regenerate after an intentional change
-//! with:
+//! under the full configuration.
+//!
+//! The rows after those pin the routes of the two one-item-at-a-time
+//! worklists, per program at `Scale::SMOKE` under the full configuration:
+//! the recompute oracle's `processed` count, and the NonSparse baseline's
+//! `processed` and `pts_entries`. Both pop in `TopoOrder::priority` order,
+//! so a queue change that keeps these counts pops the same sequence.
+//! Regenerate after an intentional change with:
 //!
 //! ```text
 //! FSAM_BLESS=1 cargo test --release --test solve_pins
 //! ```
 
+use fsam::nonsparse::{self, NonSparseOutcome};
 use fsam::{Fsam, PhaseConfig};
 use fsam_ir::Module;
 use fsam_query::AnalysisDb;
@@ -35,10 +42,25 @@ fn pins_path() -> std::path::PathBuf {
 }
 
 /// The header checksum of the snapshot of one solved run.
-fn checksum(module: &Module, config: PhaseConfig) -> u64 {
-    let fsam = Fsam::analyze_with(module, config);
-    let bytes = AnalysisDb::capture(module, &fsam).to_bytes();
+fn checksum(module: &Module, fsam: &Fsam) -> u64 {
+    let bytes = AnalysisDb::capture(module, fsam).to_bytes();
     u64::from_le_bytes(bytes[20..28].try_into().unwrap())
+}
+
+/// The oracle's and the baseline's route counts on one full-config run.
+fn route_rows(name: &str, module: &Module, fsam: &Fsam) -> [String; 2] {
+    let oracle = fsam::solve_recompute(module, &fsam.pre, &fsam.svfg);
+    let NonSparseOutcome::Done(ns) = nonsparse::run(module, &fsam.pre, &fsam.icfg, &fsam.tm, None)
+    else {
+        unreachable!("no budget, so the baseline always finishes");
+    };
+    [
+        format!("{name}@0.05 recompute processed={}", oracle.stats.processed),
+        format!(
+            "{name}@0.05 nonsparse processed={} pts_entries={}",
+            ns.stats.processed, ns.stats.pts_entries
+        ),
+    ]
 }
 
 fn rows() -> Vec<String> {
@@ -52,15 +74,21 @@ fn rows() -> Vec<String> {
             .map(|p| (p.name().to_string(), p.generate(Scale::SMOKE))),
     );
     let mut rows = Vec::new();
+    let mut routes = Vec::new();
     for (name, module) in &modules {
         for (config_name, config) in configs() {
-            let sum = checksum(module, config);
+            let fsam = Fsam::analyze_with(module, config);
+            let sum = checksum(module, &fsam);
             rows.push(format!("{name}@0.05 {config_name} {sum:016x}"));
+            if config_name == "full" {
+                routes.extend(route_rows(name, module, &fsam));
+            }
         }
     }
     let x264 = Program::X264.generate(Scale(0.32));
-    let sum = checksum(&x264, PhaseConfig::full());
+    let sum = checksum(&x264, &Fsam::analyze(&x264));
     rows.push(format!("{}@0.32 full {sum:016x}", Program::X264.name()));
+    rows.extend(routes);
     rows
 }
 
