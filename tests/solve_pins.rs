@@ -10,11 +10,14 @@
 //! five phase configurations at `Scale::SMOKE`, plus x264 at scale 0.32
 //! under the full configuration.
 //!
-//! The rows after those pin the routes of the two one-item-at-a-time
-//! worklists, per program at `Scale::SMOKE` under the full configuration:
-//! the recompute oracle's `processed` count, and the NonSparse baseline's
-//! `processed` and `pts_entries`. Both pop in `TopoOrder::priority` order,
-//! so a queue change that keeps these counts pops the same sequence.
+//! The rows after those pin the routes of the three worklists in plain
+//! text, per program at `Scale::SMOKE` under the full configuration: the
+//! delta solver's `processed`, `delta_items` and `recompute_items` (also
+//! sealed in the checksums, spelled out here so a route change reads as a
+//! before → after table), the recompute oracle's `processed` count, and
+//! the NonSparse baseline's `processed` and `pts_entries`. The oracle and
+//! the baseline pop in `TopoOrder::priority` order, so a queue change that
+//! keeps these counts pops the same sequence.
 //! Regenerate after an intentional change with:
 //!
 //! ```text
@@ -47,14 +50,20 @@ fn checksum(module: &Module, fsam: &Fsam) -> u64 {
     u64::from_le_bytes(bytes[20..28].try_into().unwrap())
 }
 
-/// The oracle's and the baseline's route counts on one full-config run.
-fn route_rows(name: &str, module: &Module, fsam: &Fsam) -> [String; 2] {
+/// The delta solver's, the oracle's and the baseline's route counts on
+/// one full-config run.
+fn route_rows(name: &str, module: &Module, fsam: &Fsam) -> [String; 3] {
     let oracle = fsam::solve_recompute(module, &fsam.pre, &fsam.svfg);
     let NonSparseOutcome::Done(ns) = nonsparse::run(module, &fsam.pre, &fsam.icfg, &fsam.tm, None)
     else {
         unreachable!("no budget, so the baseline always finishes");
     };
+    let delta = &fsam.result.stats;
     [
+        format!(
+            "{name}@0.05 delta processed={} delta_items={} recompute_items={}",
+            delta.processed, delta.delta_items, delta.recompute_items
+        ),
         format!("{name}@0.05 recompute processed={}", oracle.stats.processed),
         format!(
             "{name}@0.05 nonsparse processed={} pts_entries={}",
