@@ -264,7 +264,7 @@ impl<'a> Analysis<'a> {
                 }
             }
         }
-        let order = condense(&adj);
+        let order = condense(adj.len(), |u| adj[u as usize].iter().copied());
 
         Analysis {
             module,

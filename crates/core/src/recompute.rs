@@ -19,23 +19,27 @@
 //! terminates.
 //!
 //! The worklist pops **one item at a time in the total topological
-//! priority order** (`TopoOrder::priority`, via [`Svfg::solve_order`]),
-//! not the delta solver's level drain, so the referee does not share the
-//! schedule it checks: std's `BinaryHeap` of reversed `(priority, item)`
-//! pairs (ties break on the id) plus a `queued` bitmap for dedup. Strong
-//! updates make the system non-monotone, so the fixpoint could in
-//! principle depend on the order in which the bounded `∅ → singleton →
-//! multi` races resolve. Both orders settle store pointers before
-//! downstream propagation wherever the graph is acyclic, and the
-//! equivalence suite asserts that both solvers reach the same points-to
-//! state on every suite program.
+//! priority order** (`TopoOrder::priority`) of the oracle's own item
+//! graph — statements, variables, memory nodes and store/object pairs,
+//! with an edge wherever a visit of one item can push another — not the
+//! delta solver's level drain over its tables, so the referee shares
+//! neither the schedule nor the graph it checks: std's `BinaryHeap` of
+//! reversed `(priority, item)` pairs (ties break on the id) plus a
+//! `queued` bitmap for dedup. Strong updates make the system
+//! non-monotone, so the fixpoint could in principle depend on the order
+//! in which the bounded `∅ → singleton → multi` races resolve. Both
+//! orders settle store pointers before downstream propagation wherever
+//! the graph is acyclic, and the equivalence suite asserts that both
+//! solvers reach the same points-to state on every suite program.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use fsam_andersen::PreAnalysis;
+use fsam_ir::callgraph::CallGraph;
 use fsam_ir::stmt::{StmtKind, Terminator};
 use fsam_ir::{Module, StmtId, VarId};
+use fsam_mssa::topo::condense;
 use fsam_mssa::{NodeId as VfNodeId, NodeKind as VfNodeKind, Svfg};
 use fsam_pts::{MemId, PtsSet};
 
@@ -151,29 +155,10 @@ impl<'a> Solver<'a> {
             }
         }
 
-        let order = svfg.solve_order(module, pre.call_graph());
-        let mut var_prio = vec![u32::MAX; v_count];
-        for v in module.var_ids() {
-            if let Some(d) = svfg.var_def(v) {
-                var_prio[v.index()] = order.stmt_prio[d.index()];
-            }
-        }
-        let (var_sources, var_dependents) =
-            Self::build_sources(module, pre, &order.stmt_prio, &mut var_prio);
+        let (var_sources, var_dependents) = Self::build_sources(module, pre);
+        let items = s_count + v_count + n_count + store_obj_items.len();
 
-        let mut prio = order.stmt_prio.clone();
-        prio.extend_from_slice(&var_prio);
-        prio.extend_from_slice(&order.node_prio);
-        for &(sid, _) in &store_obj_items {
-            prio.push(order.stmt_prio[sid.index()]);
-        }
-        for p in prio.iter_mut() {
-            if *p == u32::MAX {
-                *p = 0;
-            }
-        }
-
-        Solver {
+        let mut solver = Solver {
             module,
             pre,
             svfg,
@@ -187,24 +172,76 @@ impl<'a> Solver<'a> {
             s_count,
             v_count,
             n_count,
-            queued: vec![false; prio.len()],
-            prio,
+            queued: vec![false; items],
+            prio: Vec::new(),
             queue: BinaryHeap::new(),
             stats: SolverStats::default(),
+        };
+        solver.prio = solver.priorities();
+        solver
+    }
+
+    /// The topological priority of every item: its SCC's position in the
+    /// condensation of the oracle's own item graph, where an item's
+    /// successors are the items its visit can push
+    /// ([`item_succs`](Self::item_succs)). The graph is filled into one
+    /// flat CSR table first, so the condensation walks plain slices.
+    fn priorities(&self) -> Vec<u32> {
+        let n = self.queued.len();
+        let mut base: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut adj: Vec<u32> = Vec::new();
+        let mut succs: Vec<Item> = Vec::new();
+        base.push(0);
+        for id in 0..n {
+            succs.clear();
+            self.item_succs(self.item_of(id), &mut succs);
+            adj.extend(succs.iter().map(|&item| self.id_of(item) as u32));
+            base.push(adj.len() as u32);
+        }
+        condense(n, |u| {
+            adj[base[u as usize] as usize..base[u as usize + 1] as usize]
+                .iter()
+                .copied()
+        })
+        .priority
+    }
+
+    /// Appends to `out` every item a visit of `item` can push: the
+    /// dependents of each variable it re-evaluates, or the successors of
+    /// each object definition it re-evaluates. Built from the same helpers
+    /// the visits push through.
+    fn item_succs(&self, item: Item, out: &mut Vec<Item>) {
+        let (module, svfg) = (self.module, self.svfg);
+        match item {
+            Item::Stmt(sid) if is_store(module, sid) => {
+                if let Some(node) = svfg.stmt_node(sid) {
+                    for o in svfg.annotations().chi(sid).iter() {
+                        out.extend(def_succs(module, svfg, node, o));
+                    }
+                }
+            }
+            Item::Stmt(sid) => {
+                for v in stmt_vars(module, self.pre.call_graph(), sid) {
+                    out.extend_from_slice(&self.var_dependents[v.index()]);
+                }
+            }
+            Item::Var(v) => out.extend_from_slice(&self.var_dependents[v.index()]),
+            Item::MemNode(n) => {
+                if let Some(obj) = merge_obj(svfg, n) {
+                    out.extend(def_succs(module, svfg, n, obj));
+                }
+            }
+            Item::StoreObj(sid, o) => {
+                if let Some(node) = svfg.stmt_node(sid) {
+                    out.extend(def_succs(module, svfg, node, o));
+                }
+            }
         }
     }
 
     /// Collects the complete source list per variable and the dependency
-    /// edges that drive recomputation. Binding a parameter at a call site
-    /// also lowers the parameter's priority to the site's (parameters have
-    /// no def site) — the same rule the delta solver applies to its
-    /// levels.
-    fn build_sources(
-        module: &Module,
-        pre: &PreAnalysis,
-        stmt_prio: &[u32],
-        var_prio: &mut [u32],
-    ) -> (Vec<Vec<VarSource>>, Vec<Vec<Item>>) {
+    /// edges that drive recomputation.
+    fn build_sources(module: &Module, pre: &PreAnalysis) -> (Vec<Vec<VarSource>>, Vec<Vec<Item>>) {
         let mut var_sources = vec![Vec::new(); module.var_count()];
         let mut var_dependents = vec![Vec::new(); module.var_count()];
         // Syntactic uses: a statement re-evaluates when an operand changes.
@@ -252,7 +289,6 @@ impl<'a> Solver<'a> {
                         for (&a, &p) in args.iter().zip(params.iter()) {
                             var_sources[p.index()].push(VarSource::Var(a));
                             var_dependents[a.index()].push(Item::Var(p));
-                            var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
                         }
                         if let Some(d) = dst {
                             if !module.func(callee).is_external {
@@ -277,7 +313,6 @@ impl<'a> Solver<'a> {
                         if let (Some(&a), Some(&p)) = (arg.as_ref(), params.first()) {
                             var_sources[p.index()].push(VarSource::Var(a));
                             var_dependents[a.index()].push(Item::Var(p));
-                            var_prio[p.index()] = var_prio[p.index()].min(stmt_prio[sid.index()]);
                         }
                     }
                 }
@@ -300,8 +335,8 @@ impl<'a> Solver<'a> {
         (var_sources, var_dependents)
     }
 
-    fn push(&mut self, item: Item) {
-        let id = match item {
+    fn id_of(&self, item: Item) -> usize {
+        match item {
             Item::Stmt(s) => s.index(),
             Item::Var(v) => self.s_count + v.index(),
             Item::MemNode(n) => self.s_count + self.v_count + n.index(),
@@ -309,7 +344,11 @@ impl<'a> Solver<'a> {
                 let k = self.store_obj_ids[&(s, o)] as usize;
                 self.s_count + self.v_count + self.n_count + k
             }
-        };
+        }
+    }
+
+    fn push(&mut self, item: Item) {
+        let id = self.id_of(item);
         if !std::mem::replace(&mut self.queued[id], true) {
             self.queue.push(Reverse((self.prio[id], id as u32)));
         }
@@ -402,62 +441,23 @@ impl<'a> Solver<'a> {
             return;
         }
         self.pt_defs.insert((n, o), new);
-        let svfg = self.svfg;
-        let module = self.module;
-        for &(s, label) in svfg.succs(n) {
-            if label != o {
-                continue;
-            }
-            match svfg.kind(s) {
-                VfNodeKind::Stmt(stmt) => {
-                    if matches!(module.stmt(stmt).kind, StmtKind::Store { .. }) {
-                        self.push(Item::StoreObj(stmt, o));
-                    } else {
-                        self.push(Item::Stmt(stmt));
-                    }
-                }
-                _ => self.push(Item::MemNode(s)),
-            }
+        for item in def_succs(self.module, self.svfg, n, o) {
+            self.push(item);
         }
     }
 
     fn process_stmt(&mut self, sid: StmtId) {
-        let module = self.module;
-        let svfg = self.svfg;
-        let stmt = module.stmt(sid);
-        match &stmt.kind {
+        let (module, svfg, pre) = (self.module, self.svfg, self.pre);
+        if is_store(module, sid) {
             // [P-STORE] + [P-SU/WU].
-            StmtKind::Store { .. } => {
-                for o in svfg.annotations().chi(sid).iter() {
-                    self.process_store_obj(sid, o);
-                }
+            for o in svfg.annotations().chi(sid).iter() {
+                self.process_store_obj(sid, o);
             }
+        } else {
             // [P-LOAD], [P-ADDR], [P-COPY], [P-PHI], gep and call/fork
             // bindings: all funnel through the defined variables' sources.
-            StmtKind::Call { dst, .. } => {
-                let cg = self.pre.call_graph();
-                for callee in cg.targets(sid) {
-                    for i in 0..module.func(callee).params.len() {
-                        self.recompute_var(module.func(callee).params[i]);
-                    }
-                }
-                if let Some(d) = dst {
-                    self.recompute_var(*d);
-                }
-            }
-            StmtKind::Fork { dst, .. } => {
-                let cg = self.pre.call_graph();
-                for callee in cg.targets(sid) {
-                    for i in 0..module.func(callee).params.len() {
-                        self.recompute_var(module.func(callee).params[i]);
-                    }
-                }
-                self.recompute_var(*dst);
-            }
-            _ => {
-                if let Some(d) = stmt.def() {
-                    self.recompute_var(d);
-                }
+            for v in stmt_vars(module, pre.call_graph(), sid) {
+                self.recompute_var(v);
             }
         }
     }
@@ -494,16 +494,10 @@ impl<'a> Solver<'a> {
     /// Intermediate SVFG nodes replace their value with the merge of their
     /// reaching definitions.
     fn process_mem_node(&mut self, n: VfNodeId) {
-        let obj = match self.svfg.kind(n) {
-            VfNodeKind::MemPhi { obj, .. }
-            | VfNodeKind::FormalIn { obj, .. }
-            | VfNodeKind::FormalOut { obj, .. }
-            | VfNodeKind::ActualOut { obj, .. }
-            | VfNodeKind::ThreadJunction { obj } => obj,
-            VfNodeKind::Stmt(_) => return,
-        };
-        let incoming = self.pt_in(n, obj);
-        self.set_def(n, obj, incoming);
+        if let Some(obj) = merge_obj(self.svfg, n) {
+            let incoming = self.pt_in(n, obj);
+            self.set_def(n, obj, incoming);
+        }
     }
 
     fn run(mut self) -> SparseResult {
@@ -541,4 +535,56 @@ impl<'a> Solver<'a> {
             self.stats,
         )
     }
+}
+
+fn is_store(module: &Module, sid: StmtId) -> bool {
+    matches!(module.stmt(sid).kind, StmtKind::Store { .. })
+}
+
+/// The variables a visit of the non-store statement `sid` re-evaluates:
+/// every callee parameter at a call or fork, then its own definition.
+fn stmt_vars<'m>(
+    module: &'m Module,
+    cg: &'m CallGraph,
+    sid: StmtId,
+) -> impl Iterator<Item = VarId> + 'm {
+    let stmt = module.stmt(sid);
+    let binds = matches!(stmt.kind, StmtKind::Call { .. } | StmtKind::Fork { .. });
+    binds
+        .then(|| cg.targets(sid))
+        .into_iter()
+        .flatten()
+        .flat_map(move |callee| module.func(callee).params.iter().copied())
+        .chain(stmt.def())
+}
+
+/// The object a merge node (mem-phi, formal/actual in/out, thread
+/// junction) defines; `None` for statement nodes.
+fn merge_obj(svfg: &Svfg, n: VfNodeId) -> Option<MemId> {
+    match svfg.kind(n) {
+        VfNodeKind::MemPhi { obj, .. }
+        | VfNodeKind::FormalIn { obj, .. }
+        | VfNodeKind::FormalOut { obj, .. }
+        | VfNodeKind::ActualOut { obj, .. }
+        | VfNodeKind::ThreadJunction { obj } => Some(obj),
+        VfNodeKind::Stmt(_) => None,
+    }
+}
+
+/// The items a change of `pt(n, o)` pushes: the `o`-successors of `n`,
+/// each as the store/object pair, statement or memory node that reads it.
+fn def_succs<'m>(
+    module: &'m Module,
+    svfg: &'m Svfg,
+    n: VfNodeId,
+    o: MemId,
+) -> impl Iterator<Item = Item> + 'm {
+    svfg.succs(n)
+        .iter()
+        .filter(move |&&(_, label)| label == o)
+        .map(move |&(s, _)| match svfg.kind(s) {
+            VfNodeKind::Stmt(stmt) if is_store(module, stmt) => Item::StoreObj(stmt, o),
+            VfNodeKind::Stmt(stmt) => Item::Stmt(stmt),
+            _ => Item::MemNode(s),
+        })
 }

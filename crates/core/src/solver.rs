@@ -31,18 +31,21 @@
 //!
 //! # Level order
 //!
-//! Every worklist item is keyed on the topological *depth* of its SCC in
-//! the condensation of the combined def-use graph
-//! ([`fsam_mssa::topo::TopoOrder::level`], via [`Svfg::solve_order`]).
-//! Levels are small dense integers, so the worklist is one bucket of item
-//! ids per level with a cursor at the lowest non-empty one. The solver
-//! drains one level per round, visiting its items in ascending id order;
-//! items pushed meanwhile re-enter the queue for a later round. Definitions are processed before their transitive uses
-//! wherever the graph is acyclic, and because independent SCCs share a
-//! depth, a whole band of them drains together instead of one component
-//! at a time — on the suite this needs a fraction of the worklist items
-//! the total topological order needs. The schedule is sequential and has
-//! no knobs, so the result never depends on the pipeline's worker count.
+//! Every worklist item is keyed on the topological *depth* of its SCC
+//! ([`fsam_mssa::topo::TopoOrder::level`]) in the condensation of the
+//! solver's own item graph: variables and slots, with an edge wherever a
+//! change of one item can push another — a variable's dependencies, and
+//! a slot's resolved successors below. Levels are small dense integers,
+//! so the worklist is one bucket of item ids per level with a cursor at
+//! the lowest non-empty one. The solver drains one level per round,
+//! visiting its items in ascending id order; items pushed meanwhile
+//! re-enter the queue for a later round. Definitions are processed before
+//! their transitive uses wherever the graph is acyclic, and because
+//! independent SCCs share a depth, a whole band of them drains together
+//! instead of one component at a time — on the suite this needs a
+//! fraction of the worklist items the total topological order needs. The
+//! schedule is sequential and has no knobs, so the result never depends
+//! on the pipeline's worker count.
 //!
 //! # Resolved tables
 //!
@@ -69,6 +72,7 @@ use std::collections::HashMap;
 use fsam_andersen::PreAnalysis;
 use fsam_ir::stmt::{StmtKind, Terminator};
 use fsam_ir::{Module, StmtId, VarId};
+use fsam_mssa::topo::condense;
 use fsam_mssa::{NodeId as VfNodeId, NodeKind as VfNodeKind, Svfg};
 use fsam_pts::{MemId, PtsPool, PtsRef, PtsSet};
 use fsam_trace::{FieldValue, Recorder, SpanId};
@@ -623,23 +627,9 @@ impl<'a> Solver<'a> {
         in_base.push(in_obj.len() as u32);
         in_slot_base.push(in_slot.len() as u32);
 
-        let order = svfg.solve_order(module, pre.call_graph());
-        let mut level = vec![u32::MAX; v_count];
-        for v in module.var_ids() {
-            if let Some(d) = svfg.var_def(v) {
-                level[v.index()] = order.stmt_level[d.index()];
-            }
-        }
-        let (var_sources, var_deps) =
-            Self::build_sources(module, pre, &order.stmt_level, &mut level);
-        level.extend(slot_node.iter().map(|&n| order.node_level[n as usize]));
-        for l in level.iter_mut() {
-            if *l == u32::MAX {
-                *l = 0;
-            }
-        }
+        let (var_sources, var_deps) = Self::build_sources(module, pre);
 
-        Solver {
+        let mut solver = Solver {
             module,
             pre,
             svfg,
@@ -663,24 +653,51 @@ impl<'a> Solver<'a> {
             pending_var: vec![PtsSet::new(); v_count],
             pending_slot: vec![PtsSet::new(); k_count],
             mode: vec![0; v_count + k_count],
-            queue: LevelQueue::new(level),
+            queue: LevelQueue::new(Vec::new()),
             v_count,
             stats: SolverStats::default(),
             trace: None,
             trace_span: None,
             trace_explain: false,
+        };
+        solver.queue = LevelQueue::new(solver.levels());
+        solver
+    }
+
+    /// The topological level of every item: its SCC's depth in the
+    /// condensation of the item graph the solve propagates over, whose
+    /// edges are [`dep_items`](Self::dep_items) and
+    /// [`succ_item`](Self::succ_item). The graph is filled into one flat
+    /// CSR table first, so the condensation walks plain slices.
+    fn levels(&self) -> Vec<u32> {
+        let n = self.mode.len();
+        let mut base: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut adj: Vec<u32> = Vec::with_capacity(self.succ.len() + n);
+        base.push(0);
+        for deps in &self.var_deps {
+            for &dep in deps {
+                adj.extend(self.dep_items(dep).map(|id| id as u32));
+            }
+            base.push(adj.len() as u32);
         }
+        for k in 0..self.slot_obj.len() {
+            let succs = &self.succ[self.succ_base[k] as usize..self.succ_base[k + 1] as usize];
+            adj.extend(succs.iter().map(|&t| self.succ_item(t) as u32));
+            base.push(adj.len() as u32);
+        }
+        condense(n, |u| {
+            adj[base[u as usize] as usize..base[u as usize + 1] as usize]
+                .iter()
+                .copied()
+        })
+        .level
     }
 
     /// Collects the complete source list and forward dependencies per
-    /// variable. Binding a parameter at a call site also lowers the
-    /// parameter's queue key (its level) to the site's (parameters have no
-    /// def site).
+    /// variable.
     fn build_sources(
         module: &Module,
         pre: &PreAnalysis,
-        stmt_key: &[u32],
-        var_key: &mut [u32],
     ) -> (Vec<Vec<VarSource>>, Vec<Vec<VarDep>>) {
         let mut var_sources = vec![Vec::new(); module.var_count()];
         let mut var_deps = vec![Vec::new(); module.var_count()];
@@ -731,7 +748,6 @@ impl<'a> Solver<'a> {
                         for (&a, &p) in args.iter().zip(params.iter()) {
                             var_sources[p.index()].push(VarSource::Var(a));
                             var_deps[a.index()].push(VarDep::Flow(p));
-                            var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                         if let Some(d) = dst {
                             if !module.func(callee).is_external {
@@ -756,7 +772,6 @@ impl<'a> Solver<'a> {
                         if let (Some(&a), Some(&p)) = (arg.as_ref(), params.first()) {
                             var_sources[p.index()].push(VarSource::Var(a));
                             var_deps[a.index()].push(VarDep::Flow(p));
-                            var_key[p.index()] = var_key[p.index()].min(stmt_key[sid.index()]);
                         }
                     }
                 }
@@ -805,6 +820,26 @@ impl<'a> Solver<'a> {
                 &self.in_slot[a as usize..b as usize]
             }
             Err(_) => &[],
+        }
+    }
+
+    /// The items a change of a variable can push through `dep`: the
+    /// target variable, or every slot of the store.
+    fn dep_items(&self, dep: VarDep) -> std::ops::Range<usize> {
+        match dep {
+            VarDep::Flow(t) | VarDep::Gep(t, _) | VarDep::LoadPtr(_, t) => t.index()..t.index() + 1,
+            VarDep::StorePtr(sid) | VarDep::StoreVal(sid) => match self.store_slots(sid) {
+                Some((_, s, e)) => self.v_count + s..self.v_count + e,
+                None => 0..0,
+            },
+        }
+    }
+
+    /// The item a change of a slot can push through successor `t`.
+    fn succ_item(&self, t: SlotSucc) -> usize {
+        match t {
+            SlotSucc::Slot { slot, .. } => self.v_count + slot as usize,
+            SlotSucc::Load { dst, .. } => dst.index(),
         }
     }
 
@@ -1134,24 +1169,13 @@ impl<'a> Solver<'a> {
     fn cascade_var_recompute(&mut self, v: VarId) {
         for i in 0..self.var_deps[v.index()].len() {
             let dep = self.var_deps[v.index()][i];
-            match dep {
-                VarDep::Flow(t) | VarDep::Gep(t, _) => self.push_recomp(t.index()),
-                VarDep::LoadPtr(_, dst) => self.push_recomp(dst.index()),
-                VarDep::StoreVal(sid) => self.recomp_store_slots(sid),
-                VarDep::StorePtr(sid) => {
-                    if let StmtKind::Store { ptr, .. } = self.module.stmt(sid).kind {
-                        self.store_phase[sid.index()] = self.phase_of(ptr);
-                    }
-                    self.recomp_store_slots(sid);
+            if let VarDep::StorePtr(sid) = dep {
+                if let StmtKind::Store { ptr, .. } = self.module.stmt(sid).kind {
+                    self.store_phase[sid.index()] = self.phase_of(ptr);
                 }
             }
-        }
-    }
-
-    fn recomp_store_slots(&mut self, sid: StmtId) {
-        if let Some((_, s, e)) = self.store_slots(sid) {
-            for k in s..e {
-                self.push_recomp(self.v_count + k);
+            for id in self.dep_items(dep) {
+                self.push_recomp(id);
             }
         }
     }
@@ -1225,7 +1249,11 @@ impl<'a> Solver<'a> {
             // Growth strictly enlarges pt(ptr), so it can never *become*
             // empty, stay a singleton, or turn back into one. Re-evaluate
             // everything if an unexpected transition ever shows up.
-            _ => self.recomp_store_slots(sid),
+            _ => {
+                for id in self.dep_items(VarDep::StorePtr(sid)) {
+                    self.push_recomp(id);
+                }
+            }
         }
     }
 
@@ -1381,11 +1409,7 @@ impl<'a> Solver<'a> {
     /// must re-evaluate from full inputs.
     fn forward_recompute(&mut self, k: usize) {
         for i in self.succ_base[k] as usize..self.succ_base[k + 1] as usize {
-            let id = match self.succ[i] {
-                SlotSucc::Slot { slot, .. } => self.v_count + slot as usize,
-                SlotSucc::Load { dst, .. } => dst.index(),
-            };
-            self.push_recomp(id);
+            self.push_recomp(self.succ_item(self.succ[i]));
         }
     }
 

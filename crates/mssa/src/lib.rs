@@ -20,4 +20,4 @@ pub mod topo;
 pub use annotate::Annotations;
 pub use modref::ModRef;
 pub use svfg::{MemorySsa, NodeId, NodeKind, Svfg, SvfgStats, ThreadEdgeInsertion};
-pub use topo::{condense, SolveOrder, TopoOrder};
+pub use topo::{condense, TopoOrder};
