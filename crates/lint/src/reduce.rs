@@ -5,8 +5,9 @@
 //! coarse filters first and the flow-sensitive alias confirmation *last*,
 //! and never visits a pair: each load/store site is keyed once by its MHP
 //! region, its happens-before region, the interned class ([`PtsRef`]) of
-//! its flow-sensitive points-to set, and a lock key (the site itself when
-//! it is [locked](fsam_threads::LockAnalysis::locked_stmts), else `None`).
+//! its flow-sensitive points-to set, and a lock key (its lockset class
+//! from [`LockClasses::held_class`] when it is
+//! [locked](fsam_threads::LockAnalysis::locked_stmts), else `None`).
 //! Every stage's predicate is constant on that key, so per object the
 //! stores and loads are bucketed by key, and each bucket pair runs the
 //! stages once for its `|B1|·|B2|` pairs (`|B|(|B|+1)/2` for a store
@@ -20,10 +21,11 @@
 //! 4. **happens-before** — one [`HbFacts`](fsam_threads::hb::HbFacts) bit
 //!    test (DESIGN §1.9); must-ordered pairs are synchronized, not racy,
 //!    and fold into the `hb_protected` (FL0005) groups;
-//! 5. **lockset** — [`fsam::racy_instances`], only between two locked
-//!    sites (single-site buckets). A pair with an unlocked side is never
-//!    commonly protected, and every region-parallel pair has an MHP
-//!    instance pair, so it is racy;
+//! 5. **lockset** — the negation of [`fsam::racy_instances`] on the two
+//!    lockset classes ([`LockClasses::protected`]), only between two
+//!    locked buckets and once per class pair. A pair with an unlocked side
+//!    is never commonly protected, and every region-parallel pair has an
+//!    MHP instance pair, so it is racy;
 //! 6. **alias confirm** — the object must be in *both* sides' classes,
 //!    probed at most once per `(object, class)`.
 //!
@@ -43,9 +45,8 @@ use fsam::Fsam;
 use fsam_ir::{Module, StmtId, StmtKind};
 use fsam_pts::{MemId, PtsRef};
 use fsam_query::QueryEngine;
-use fsam_threads::mhp::MhpOracle;
 use fsam_threads::valueflow::index_accesses;
-use fsam_threads::SharedObjects;
+use fsam_threads::{LockClasses, SharedObjects};
 use fsam_trace::Recorder;
 
 /// One store × access candidate on one abstract object.
@@ -153,8 +154,8 @@ struct Key {
     mhp: Option<u32>,
     hb: Option<u32>,
     class: Option<PtsRef>,
-    /// The site itself when it is locked, so locked sites bucket alone.
-    lock: Option<StmtId>,
+    /// The site's lockset class when it is locked.
+    lock: Option<u32>,
 }
 
 /// The sites of one object sharing a key: the smallest, and how many.
@@ -204,11 +205,12 @@ pub fn reduce(
     shared: &SharedObjects,
     recorder: &Recorder,
 ) -> Reduction {
-    let oracle: &dyn MhpOracle = &fsam.mhp;
     let rel = engine.mhp_relation();
     let pool = engine.db().result().pool();
     let locked: HashSet<StmtId> =
         (fsam.lock.as_deref()).map_or_else(HashSet::new, |l| l.locked_stmts(&fsam.icfg));
+    let mut lock_classes =
+        (fsam.lock.as_deref()).map(|lock| LockClasses::new(&fsam.icfg, &fsam.mhp, lock));
     let mut stats = ReductionStats::default();
 
     // Stage 1 enumeration — Andersen (pre-analysis) points-to sets. The
@@ -221,7 +223,9 @@ pub fn reduce(
                 mhp: rel.region_of(sid),
                 hb: fsam.hb.region_of(sid),
                 class: engine.class_of(ptr),
-                lock: locked.contains(&sid).then_some(sid),
+                lock: (lock_classes.as_mut())
+                    .filter(|_| locked.contains(&sid))
+                    .map(|classes| classes.held_class(sid)),
             };
             keys.insert(sid, key);
         }
@@ -234,6 +238,7 @@ pub fn reduce(
     let mut confirmed: Vec<RaceGroup> = Vec::new();
     let mut hb_protected: Vec<RaceGroup> = Vec::new();
     let mut class_probes = 0;
+    let mut protected: HashMap<(u32, u32), bool> = HashMap::new();
 
     for o in objects {
         let stores = &stores_of[&o];
@@ -280,12 +285,15 @@ pub fn reduce(
                 absorb(&mut hb_group, o, rep, n);
                 continue;
             }
-            // Stage 5 — lockset, only between two locked sites (both
-            // buckets are that one site, so `rep` is the pair).
-            let locked_pair = k1.lock.and(k2.lock).is_some();
-            if locked_pair && !fsam::racy_instances(fsam, oracle, rep.0, rep.1) {
-                stats.killed_lockset += n;
-                continue;
+            // Stage 5 — lockset, only between two locked buckets, once
+            // per class pair.
+            if let (Some(c1), Some(c2), Some(classes)) = (k1.lock, k2.lock, &lock_classes) {
+                let held =
+                    *(protected.entry((c1, c2))).or_insert_with(|| classes.protected(c1, c2));
+                if held {
+                    stats.killed_lockset += n;
+                    continue;
+                }
             }
             // Stage 6 — flow-sensitive alias confirmation.
             let mut has = |c: Option<PtsRef>| {

@@ -431,6 +431,10 @@ impl MhpOracle for Interleaving {
             .is_some_and(|a| a.contains(t1));
         fwd && bwd
     }
+
+    fn mhp_state(&self, icfg: &Icfg, (t, c, s): (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        self.alive_at(icfg, t, c, s)
+    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! context-sensitive interleaving (MHP) analysis of Figure 7, the
 //! `[THREAD-VF]` value-flow analysis producing thread-aware def-use edges,
 //! and the lock analysis (Definitions 3–6) that filters non-interference
-//! pairs. [`ProcMhp`] is the coarse PCG-style baseline used by the
-//! *No-Interleaving* ablation and the NonSparse comparison.
+//! pairs, run on classes of instances ([`LockClasses`]). [`ProcMhp`] is
+//! the coarse PCG-style baseline used by the *No-Interleaving* ablation
+//! and the NonSparse comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,6 +16,7 @@ pub mod flow;
 pub mod hb;
 pub mod interleave;
 pub mod lock;
+pub mod lockclass;
 pub mod mhp;
 pub mod model;
 pub mod relation;
@@ -24,6 +26,7 @@ pub mod valueflow;
 pub use hb::{HbFacts, VecClock};
 pub use interleave::{Interleaving, ThreadSet};
 pub use lock::LockAnalysis;
+pub use lockclass::LockClasses;
 pub use mhp::{MhpBackend, MhpOracle, ProcMhp};
 pub use model::{JoinEntry, ThreadId, ThreadInfo, ThreadModel};
 pub use relation::{MhpRelation, RegionRelation, RelationError};

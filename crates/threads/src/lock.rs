@@ -22,6 +22,14 @@
 //! *locked* statements ([`LockAnalysis::locked_stmts`]) can qualify, so
 //! the value-flow phase and the race reducer run their lock tests on those
 //! alone.
+//!
+//! Definition 6 splits per instance: with `A(i)` the locks of the spans
+//! guarding `i`, and `NT(i, o)`/`NH(i, o)` those whose span does not list
+//! `i` as a tail/head of `o`, `non_interference(i1, i2, o)` is
+//! `NT(i1, o) ∩ A(i2) ≠ ∅ ∨ A(i1) ∩ NH(i2, o) ≠ ∅`
+//! (`LockAnalysis::span_locks`), and the [`lockclass`](crate::lockclass)
+//! module runs both lock tests on classes of instances built from those
+//! sets.
 
 use std::collections::{HashMap, HashSet};
 
@@ -169,6 +177,18 @@ struct Span {
     tl: HashMap<MemId, HashSet<(CtxId, StmtId)>>,
 }
 
+/// Definition 6's lock sets of one instance on one object
+/// (`LockAnalysis::span_locks`), each ascending.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct SpanLocks {
+    /// `A(i)`: the locks of the spans guarding the instance.
+    pub all: LockSet,
+    /// `NT(i, o)`: the locks of guarding spans where it is not a tail of `o`.
+    pub not_tail: LockSet,
+    /// `NH(i, o)`: the locks of guarding spans where it is not a head of `o`.
+    pub not_head: LockSet,
+}
+
 /// The combined lock analysis result.
 #[derive(Debug)]
 pub struct LockAnalysis {
@@ -287,6 +307,27 @@ impl LockAnalysis {
             self.guarding_spans(icfg, i2)
                 .any(|span2| span2.lock == span1.lock && !(tail(span1) && head(span2)))
         })
+    }
+
+    /// Definition 6's lock sets of instance `i` on object `o`, all empty
+    /// when no span guards `i`:
+    /// [`non_interference`](Self::non_interference) is
+    /// `NT(i1, o) ∩ A(i2) ≠ ∅ ∨ A(i1) ∩ NH(i2, o) ≠ ∅` on these sets.
+    pub(crate) fn span_locks(&self, icfg: &Icfg, i: Instance, o: MemId) -> SpanLocks {
+        let listed = |sets: &HashMap<MemId, HashSet<(CtxId, StmtId)>>| {
+            sets.get(&o).is_some_and(|set| set.contains(&(i.1, i.2)))
+        };
+        let mut locks = SpanLocks::default();
+        for span in self.guarding_spans(icfg, i) {
+            lockset_insert(&mut locks.all, span.lock);
+            if !listed(&span.tl) {
+                lockset_insert(&mut locks.not_tail, span.lock);
+            }
+            if !listed(&span.hd) {
+                lockset_insert(&mut locks.not_head, span.lock);
+            }
+        }
+        locks
     }
 
     /// The spans containing instance `i` whose lock is must-held there
@@ -615,6 +656,25 @@ mod tests {
             })
         });
         assert!(kept_s3, "tail-to-head edge s3 -> s4 must remain");
+
+        // The split sets behind the instance classes: s2 is no tail, s3 is
+        // the tail, s4 is the head, all under the one lock `lk`.
+        let lk = {
+            let pre = fsam_andersen::PreAnalysis::run(&m);
+            pre.objects().base(m.global_by_name("lk").unwrap())
+        };
+        let locks = |s: StmtId, (t, c): (ThreadId, CtxId)| lock.span_locks(&icfg, (t, c, s), o);
+        for &i in &i2 {
+            assert_eq!(locks(s2, i).not_tail, [lk]);
+        }
+        for &i in &i3 {
+            assert_eq!(locks(s3, i).all, [lk]);
+            assert!(locks(s3, i).not_tail.is_empty());
+        }
+        for &i in &i4 {
+            assert_eq!(locks(s4, i).all, [lk]);
+            assert!(locks(s4, i).not_head.is_empty());
+        }
     }
 
     #[test]

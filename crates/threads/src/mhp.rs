@@ -14,7 +14,7 @@ use fsam_ir::context::CtxId;
 use fsam_ir::icfg::Icfg;
 use fsam_ir::{Module, StmtId};
 
-use crate::interleave::Interleaving;
+use crate::interleave::{Interleaving, ThreadSet};
 use crate::model::{ThreadId, ThreadModel};
 
 /// May-happen-in-parallel queries at statement and instance granularity.
@@ -33,6 +33,13 @@ pub trait MhpOracle {
         i1: (ThreadId, CtxId, StmtId),
         i2: (ThreadId, CtxId, StmtId),
     ) -> bool;
+
+    /// The fact [`mhp_instances`](Self::mhp_instances) reads at instance
+    /// `i` besides its thread: the interleaving fact `I(t, c, s)`, or
+    /// `None` when the instance is unreachable or the backend reads the
+    /// thread alone. Two instances with equal threads and equal facts are
+    /// MHP with exactly the same instances.
+    fn mhp_state(&self, icfg: &Icfg, i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet>;
 }
 
 /// The MHP oracle a pipeline configuration selected: the paper's flow- and
@@ -94,6 +101,10 @@ impl MhpOracle for MhpBackend {
         i2: (ThreadId, CtxId, StmtId),
     ) -> bool {
         self.oracle().mhp_instances(icfg, i1, i2)
+    }
+
+    fn mhp_state(&self, icfg: &Icfg, i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        self.oracle().mhp_state(icfg, i)
     }
 }
 
@@ -198,6 +209,10 @@ impl MhpOracle for ProcMhp {
         } else {
             self.concurrent[t1.index()][t2.index()]
         }
+    }
+
+    fn mhp_state(&self, _icfg: &Icfg, _i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        None
     }
 }
 

@@ -8,14 +8,15 @@
 //! accesses in the MHP regions parallel to its own, so all stores of a
 //! region share one access set. Only pairs of *locked* statements
 //! ([`LockAnalysis::locked_stmts`]) get the lock test, and a store that
-//! loses accesses gets a class of its own.
+//! loses accesses gets a class of its own. The test runs on instance
+//! classes ([`LockClasses`]), once per class pair and object.
 //!
 //! The *No-Value-Flow* ablation of Figure 12 (`blind` mode) disregards the
 //! aliasing condition: every MHP store/access pair gets flows for all of
 //! the store's targets, the unnecessary value flows whose cost §4.4
 //! quantifies.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use fsam_andersen::PreAnalysis;
 use fsam_ir::icfg::Icfg;
@@ -23,6 +24,7 @@ use fsam_ir::{Module, StmtId, StmtKind};
 use fsam_pts::MemId;
 
 use crate::lock::LockAnalysis;
+use crate::lockclass::LockClasses;
 use crate::mhp::MhpOracle;
 use crate::relation::MhpRelation;
 use crate::shared::SharedObjects;
@@ -89,7 +91,7 @@ impl ThreadValueFlow {
         stores: &[StmtId],
         accesses: &[(StmtId, u32)],
         guarded: impl Fn(StmtId) -> bool,
-        keep: impl Fn(StmtId, StmtId) -> bool,
+        mut keep: impl FnMut(StmtId, StmtId) -> bool,
     ) {
         let mut by_region: BTreeMap<u32, Vec<StmtId>> = BTreeMap::new();
         for (s, r) in regions(rel, stores) {
@@ -142,12 +144,12 @@ impl ThreadValueFlow {
 /// list, ordered by ascending object, is exactly what the sequential loop
 /// emits, and the statistics are sums of per-object counts.
 pub struct ValueFlowPlan<'a> {
-    icfg: &'a Icfg,
-    oracle: &'a (dyn MhpOracle + Sync),
     rel: &'a MhpRelation,
-    lock: Option<&'a LockAnalysis>,
-    /// [`LockAnalysis::locked_stmts`], empty without a lock analysis.
-    locked: HashSet<StmtId>,
+    /// The Definition 6 instance classes; `None` without a lock analysis.
+    lock: Option<LockClasses<'a>>,
+    /// Per locked load/store and object of the plan: its class as a store
+    /// (stores only) and as an access. Empty without a lock analysis.
+    span_classes: HashMap<(StmtId, MemId), (Option<u32>, u32)>,
     stores_of: HashMap<MemId, Vec<StmtId>>,
     accesses_of: HashMap<MemId, Vec<StmtId>>,
     /// The shared, multiply-accessed objects, ascending — one work unit each.
@@ -155,9 +157,10 @@ pub struct ValueFlowPlan<'a> {
 }
 
 impl<'a> ValueFlowPlan<'a> {
-    /// Builds the plan: indexes stores/accesses per object and selects the
+    /// Builds the plan: indexes stores/accesses per object, selects the
     /// objects that can produce edges (accessed at least twice, and shared
-    /// across threads).
+    /// across threads), and builds the locked statements' Definition 6
+    /// classes on them.
     pub fn new(
         module: &'a Module,
         icfg: &'a Icfg,
@@ -175,12 +178,27 @@ impl<'a> ValueFlowPlan<'a> {
         objects.sort();
         objects
             .retain(|&o| accesses_of.get(&o).map_or(0, Vec::len) >= 2 && shared.is_shared(pre, o));
+        let mut span_classes = HashMap::new();
+        let lock = lock.map(|lock| {
+            let mut classes = LockClasses::new(icfg, oracle, lock);
+            for s in lock.locked_stmts(icfg) {
+                let (ptr, is_store) = match module.stmt(s).kind {
+                    StmtKind::Store { ptr, .. } => (ptr, true),
+                    StmtKind::Load { ptr, .. } => (ptr, false),
+                    _ => continue,
+                };
+                let planned = pre.pt_var(ptr).iter();
+                let planned = planned.filter(|o| objects.binary_search(o).is_ok());
+                for (o, store, access) in classes.span_classes(s, is_store, planned) {
+                    span_classes.insert((s, o), (store, access));
+                }
+            }
+            classes
+        });
         ValueFlowPlan {
-            icfg,
-            oracle,
             rel,
             lock,
-            locked: lock.map_or_else(HashSet::new, |l| l.locked_stmts(icfg)),
+            span_classes,
             stores_of,
             accesses_of,
             objects,
@@ -200,24 +218,20 @@ impl<'a> ValueFlowPlan<'a> {
         let mut out = ThreadValueFlow::default();
         // Every store is also an access, and not aliased with itself.
         out.stats.aliased_pairs = stores.len() * accesses.len() - stores.len();
-        let guarded = |x| self.locked.contains(&x);
-        let keep = |s, a| !self.lock.is_some_and(|l| self.non_interfering(l, s, a, o));
+        let guarded = |x| self.span_classes.contains_key(&(x, o));
+        // Drop the flow only when *every* MHP instance pair is a
+        // non-interference pair (Definition 6), tested once per class pair.
+        let mut memo: HashMap<(u32, u32), bool> = HashMap::new();
+        let keep = |s, a| {
+            let classes = self.lock.as_ref().expect("guarded statements have classes");
+            let store = self.span_classes[&(s, o)].0.expect("a store's class");
+            let access = self.span_classes[&(a, o)].1;
+            !*(memo.entry((store, access)))
+                .or_insert_with(|| classes.non_interfering(store, access))
+        };
         let accesses = regions(self.rel, accesses);
         out.add_classes(o, self.rel, stores, &accesses, guarded, keep);
         out
-    }
-
-    /// Whether *every* MHP instance pair of store `s` and access `a` is a
-    /// non-interference pair (Definition 6) — only then may the flow be dropped.
-    fn non_interfering(&self, lock: &LockAnalysis, s: StmtId, a: StmtId, o: MemId) -> bool {
-        let accesses = self.oracle.instances(a);
-        self.oracle.instances(s).into_iter().all(|(t1, c1)| {
-            accesses.iter().all(|&(t2, c2)| {
-                let (i1, i2) = ((t1, c1, s), (t2, c2, a));
-                !self.oracle.mhp_instances(self.icfg, i1, i2)
-                    || lock.non_interference(self.icfg, i1, i2, o)
-            })
-        })
     }
 
     /// Folds per-object results — **in object order** — into the final

@@ -14,7 +14,7 @@ pub struct ProgramShape {
     body: usize,
     fork_in_loop: bool,
     join_kind: u8, // 0 = full, 1 = partial, 2 = none
-    use_locks: bool,
+    pub use_locks: bool,
     seed: u64,
 }
 
