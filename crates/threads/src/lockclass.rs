@@ -24,57 +24,20 @@
 //! ([`LockAnalysis::non_interference`], `fsam::racy_instances`) and the
 //! tests compare the classes against them.
 
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::Hash;
-
 use fsam_ir::icfg::Icfg;
 use fsam_ir::StmtId;
 use fsam_pts::MemId;
 
-use crate::interleave::ThreadSet;
+use crate::flow::Interner;
 use crate::lock::{Instance, LockAnalysis, LockSet};
 use crate::mhp::MhpOracle;
 use crate::model::ThreadId;
 
-/// Dense ids for equal values, in order of first appearance.
-#[derive(Debug)]
-struct Interner<T> {
-    ids: HashMap<T, u32>,
-    values: Vec<T>,
-}
-
-impl<T: Hash + Eq + Clone> Interner<T> {
-    fn new() -> Self {
-        Interner {
-            ids: HashMap::new(),
-            values: Vec::new(),
-        }
-    }
-
-    fn id<Q>(&mut self, value: &Q) -> u32
-    where
-        T: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = T> + ?Sized,
-    {
-        if let Some(&id) = self.ids.get(value) {
-            return id;
-        }
-        let id = u32::try_from(self.values.len()).expect("interned value count");
-        self.values.push(value.to_owned());
-        self.ids.insert(value.to_owned(), id);
-        id
-    }
-
-    fn get(&self, id: u32) -> &T {
-        &self.values[id as usize]
-    }
-}
-
 /// One instance key: `[state, locks, split]`. The lockset test's keys
-/// carry the must-held lockset in `locks` and the empty set in `split`;
-/// Definition 6's carry `A(i)` in `locks` and `NT(i, o)` (store role) or
-/// `NH(i, o)` (access role) in `split`. The last two are lock-set ids.
+/// carry the must-held lockset's fact id ([`LockAnalysis`]'s own) in
+/// `locks` and the empty set in `split`; Definition 6's carry `A(i)` in
+/// `locks` and `NT(i, o)` (store role) or `NH(i, o)` (access role) in
+/// `split`, both ids of this table's lock sets.
 type Key = [u32; 3];
 
 /// Interned instance keys and classes of one analysis (module docs).
@@ -83,7 +46,7 @@ pub struct LockClasses<'a> {
     oracle: &'a (dyn MhpOracle + Sync),
     lock: &'a LockAnalysis,
     /// MHP states, each `(thread, mhp_state)`.
-    states: Interner<(ThreadId, Option<ThreadSet>)>,
+    states: Interner<(ThreadId, Option<u32>)>,
     /// One instance per state, to ask the oracle on.
     reps: Vec<Instance>,
     sets: Interner<LockSet>,
@@ -104,7 +67,7 @@ impl<'a> LockClasses<'a> {
         lock: &'a LockAnalysis,
     ) -> LockClasses<'a> {
         let mut sets = Interner::new();
-        sets.id(&[][..]);
+        sets.id(&LockSet::new());
         LockClasses {
             icfg,
             oracle,
@@ -123,7 +86,7 @@ impl<'a> LockClasses<'a> {
         let mut out = Vec::new();
         for (t, c) in oracle.instances(s) {
             let i = (t, c, s);
-            let state = (t, oracle.mhp_state(icfg, i).cloned());
+            let state = (t, oracle.mhp_state(icfg, i));
             let id = self.states.id(&state);
             if id as usize == self.reps.len() {
                 self.reps.push(i);
@@ -137,17 +100,14 @@ impl<'a> LockClasses<'a> {
     fn class(&mut self, mut keys: Vec<u32>) -> u32 {
         keys.sort_unstable();
         keys.dedup();
-        self.classes.id(&keys[..])
+        self.classes.id(&keys)
     }
 
     /// The lockset test's class of statement `s`: its instances' MHP
     /// states with their must-held locksets.
     pub fn held_class(&mut self, s: StmtId) -> u32 {
         let keys = (self.instances(s).into_iter())
-            .map(|((t, c, s), state)| {
-                let held = self.sets.id(self.lock.held_at(self.icfg, t, c, s));
-                self.keys.id(&[state, held, 0])
-            })
+            .map(|(i, state)| self.keys.id(&[state, self.lock.held_id(self.icfg, i), 0]))
             .collect();
         self.class(keys)
     }
@@ -167,12 +127,12 @@ impl<'a> LockClasses<'a> {
             let (mut stores, mut accesses) = (Vec::new(), Vec::new());
             for &(i, state) in &instances {
                 let locks = self.lock.span_locks(self.icfg, i, o);
-                let all = self.sets.id(&locks.all[..]);
+                let all = self.sets.id(&locks.all);
                 if is_store {
-                    let not_tail = self.sets.id(&locks.not_tail[..]);
+                    let not_tail = self.sets.id(&locks.not_tail);
                     stores.push(self.keys.id(&[state, all, not_tail]));
                 }
-                let not_head = self.sets.id(&locks.not_head[..]);
+                let not_head = self.sets.id(&locks.not_head);
                 accesses.push(self.keys.id(&[state, all, not_head]));
             }
             let store = is_store.then(|| self.class(stores));
@@ -213,7 +173,7 @@ impl<'a> LockClasses<'a> {
     /// whether every MHP instance pair holds a common lock — the negation
     /// of `fsam::racy_instances`.
     pub fn protected(&self, c1: u32, c2: u32) -> bool {
-        let set = |id: u32| self.sets.get(id).as_slice();
+        let set = |id: u32| self.lock.held_set(id);
         self.every_mhp_pair(c1, c2, |[_, h1, _], [_, h2, _]| meet(set(h1), set(h2)))
     }
 }
