@@ -10,7 +10,8 @@
 //!   equals `!fsam::racy_instances`.
 //!
 //! Both run under the interleaving and the PCG backend, on every suite and
-//! sync program, on the lock-using random programs of `tests/common`, and
+//! sync program, on a handwritten two-lock program, on the lock-using
+//! random programs of `tests/common`, and
 //! on radiosity at scale 0.32 (release builds only; CI runs
 //! `cargo test --release --test lock_classes`), whose task-queue spans are
 //! the paper's Figure 13.
@@ -18,6 +19,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use fsam::{Fsam, PhaseConfig};
+use fsam_ir::parse::parse_module;
 use fsam_ir::rng::SmallRng;
 use fsam_ir::{Module, StmtId, StmtKind};
 use fsam_pts::MemId;
@@ -124,6 +126,42 @@ fn assert_classes_match(name: &str, m: &Module, config: PhaseConfig, tally: &mut
     }
 }
 
+/// Two workers write one global, each under its own lock: locked pairs
+/// that share no lock, on which both tests fail under either backend
+/// (every locked pair of the suite and sync programs shares a lock).
+const TWO_LOCKS: &str = r#"
+    global o
+    global lk1
+    global lk2
+    func a() {
+    entry:
+      p = &o
+      l = &lk1
+      lock l
+      store p, p
+      unlock l
+      ret
+    }
+    func b() {
+    entry:
+      q = &o
+      l = &lk2
+      lock l
+      store q, q
+      c = load q
+      unlock l
+      ret
+    }
+    func main() {
+    entry:
+      t1 = fork a()
+      t2 = fork b()
+      join t1
+      join t2
+      ret
+    }
+"#;
+
 /// The full configuration and *No-Interleaving* (the PCG backend).
 const BACKENDS: [fn() -> PhaseConfig; 2] = [PhaseConfig::full, PhaseConfig::no_interleaving];
 
@@ -138,6 +176,7 @@ fn lock_classes_match_the_instance_loops() {
                 .map(|p| (p.name().to_string(), p.generate(Scale::SMOKE))),
         )
         .collect();
+    programs.push(("two locks".to_string(), parse_module(TWO_LOCKS).unwrap()));
     let mut rng = SmallRng::seed_from_u64(0x10C4_C1A5);
     for case in 0..32 {
         let shape = sample_shape(&mut rng);
