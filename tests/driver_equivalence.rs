@@ -109,10 +109,6 @@ fn batch_builds_each_shared_stage_once() {
     assert_eq!(counts.interleaving, 1, "one interleaving analysis");
     assert_eq!(counts.pcg, 1, "one PCG fallback (for no-interleaving)");
     assert_eq!(counts.lock, 1, "one lock analysis");
-    assert!(
-        counts.parallel_interference,
-        "interleaving and lock ran in one thread::scope"
-    );
 }
 
 #[test]
