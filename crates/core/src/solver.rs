@@ -16,7 +16,7 @@
 //! Each worklist item carries only the **delta** since its last visit
 //! (Hardekopf–Lin style): when a variable or object definition grows, the
 //! new members alone flow along its def-use edges into per-target pending
-//! sets, and a visited item unions its pending delta into its current set.
+//! deltas, and a visited item unions its pending delta into its current set.
 //! Full recompute-and-replace survives solely as the fallback for the
 //! non-monotone cases introduced by strong updates — a store's output
 //! *shrinks* when its pointer's points-to set becomes a known singleton.
@@ -60,10 +60,20 @@
 //!
 //! # Interned points-to store
 //!
-//! All points-to sets live in a [`PtsPool`] of hash-consed immutable sets;
-//! the solver holds one 4-byte [`PtsRef`] per variable and per object
-//! definition, and updates are copy-on-write handle swaps. The pool is
-//! compacted down to the live sets when the solver finishes, so the final
+//! Every set the solver holds lives in a [`PtsPool`] of hash-consed
+//! immutable sets, addressed by a 4-byte [`PtsRef`]: the value of each
+//! variable and object definition, each item's pending delta and each
+//! visit's fresh delta. Updates are copy-on-write handle swaps. A visit
+//! takes its pending handle, and [`PtsPool::union_delta`] returns the grown
+//! value and the fresh members as handles; forwarding a fresh delta unions
+//! its handle into each target's pending handle with the memoized
+//! [`PtsPool::union`]. A delta that arrives at an empty pending slot, or
+//! that is disjoint from the value it grows, flows on as the same handle,
+//! so a chain of merge slots copies 4 bytes per hop instead of a set. Sets
+//! built member by member (a Gep's fields, a load's pulled definitions, a
+//! store slot's pulled input, a recompute's new value) are interned once
+//! and then unioned like any other delta. The pool is compacted down to the
+//! live values when the solver finishes, so the final
 //! [`SparseResult::pts_bytes`] reflects the retained state while
 //! [`SolverStats::peak_pts_bytes`] records the in-flight peak.
 
@@ -97,7 +107,9 @@ pub struct SolverStats {
     /// Final points-to pairs at object definitions.
     pub def_pts_entries: usize,
     /// Peak heap bytes of the points-to store before end-of-solve
-    /// compaction (pool plus the per-variable/per-definition tables).
+    /// compaction (pool plus the per-variable/per-definition tables). The
+    /// pool then also holds every pending and fresh delta the solve
+    /// interned, and its union memo.
     pub peak_pts_bytes: usize,
 }
 
@@ -492,9 +504,9 @@ struct Solver<'a> {
     in_obj: Vec<MemId>,
     in_slot_base: Vec<u32>,
     in_slot: Vec<u32>,
-    /// Pending deltas, one accumulator per variable / per slot.
-    pending_var: Vec<PtsSet>,
-    pending_slot: Vec<PtsSet>,
+    /// Pending deltas, one pool handle per variable / per slot.
+    pending_var: Vec<PtsRef>,
+    pending_slot: Vec<PtsRef>,
     /// Queued mode per item (vars `0..V`, then slots `V..V+K`).
     mode: Vec<u8>,
     queue: LevelQueue,
@@ -519,47 +531,60 @@ impl<'a> Solver<'a> {
         // Slot layout: stores get one slot per chi / incident-edge object,
         // merge nodes one slot for their object. Plain statement nodes
         // (loads, calls, synthetic thread-edge endpoints) define nothing.
-        let mut slot_base: Vec<u32> = Vec::with_capacity(n_count + 1);
-        let mut slot_obj: Vec<MemId> = Vec::new();
-        let mut slot_node: Vec<u32> = Vec::new();
-        let mut slot_kind: Vec<SlotKind> = Vec::new();
-        let mut stmt_node = vec![u32::MAX; s_count];
-        for n in svfg.node_ids() {
-            slot_base.push(slot_obj.len() as u32);
+        // Each table is counted first and allocated once; `objs` is one
+        // buffer for every store's objects.
+        let mut objs: Vec<MemId> = Vec::new();
+        let node_objs = |n: VfNodeId, objs: &mut Vec<MemId>| {
+            objs.clear();
             match svfg.kind(n) {
                 VfNodeKind::Stmt(sid) if sid.index() < s_count => {
-                    stmt_node[sid.index()] = n.index() as u32;
-                    if let StmtKind::Store { ptr, val } = module.stmt(sid).kind {
-                        let mut objs: Vec<MemId> = svfg.annotations().chi(sid).iter().collect();
-                        for &(_, o) in svfg.preds(n).iter().chain(svfg.succs(n)) {
-                            objs.push(o);
-                        }
+                    if let StmtKind::Store { .. } = module.stmt(sid).kind {
+                        objs.extend(svfg.annotations().chi(sid).iter());
+                        let edges = svfg.preds(n).iter().chain(svfg.succs(n));
+                        objs.extend(edges.map(|&(_, o)| o));
                         objs.sort_unstable();
                         objs.dedup();
-                        for o in objs {
-                            slot_obj.push(o);
-                            slot_node.push(n.index() as u32);
-                            slot_kind.push(SlotKind::Store { ptr, val });
-                        }
                     }
                 }
                 VfNodeKind::MemPhi { obj, .. }
                 | VfNodeKind::FormalIn { obj, .. }
                 | VfNodeKind::FormalOut { obj, .. }
                 | VfNodeKind::ActualOut { obj, .. }
-                | VfNodeKind::ThreadJunction { obj } => {
-                    slot_obj.push(obj);
-                    slot_node.push(n.index() as u32);
-                    slot_kind.push(SlotKind::Merge);
-                }
+                | VfNodeKind::ThreadJunction { obj } => objs.push(obj),
                 VfNodeKind::Stmt(_) => {}
             }
+        };
+        let mut slot_base: Vec<u32> = Vec::with_capacity(n_count + 1);
+        slot_base.push(0);
+        for n in svfg.node_ids() {
+            node_objs(n, &mut objs);
+            slot_base.push(slot_base[n.index()] + objs.len() as u32);
         }
-        slot_base.push(slot_obj.len() as u32);
-        let k_count = slot_obj.len();
+        let k_count = slot_base[n_count] as usize;
+        let mut slot_obj: Vec<MemId> = Vec::with_capacity(k_count);
+        let mut slot_node: Vec<u32> = Vec::with_capacity(k_count);
+        let mut slot_kind: Vec<SlotKind> = Vec::with_capacity(k_count);
+        let mut stmt_node = vec![u32::MAX; s_count];
+        for n in svfg.node_ids() {
+            node_objs(n, &mut objs);
+            let kind = match svfg.kind(n) {
+                VfNodeKind::Stmt(sid) if sid.index() < s_count => {
+                    stmt_node[sid.index()] = n.index() as u32;
+                    match module.stmt(sid).kind {
+                        StmtKind::Store { ptr, val } => SlotKind::Store { ptr, val },
+                        _ => continue,
+                    }
+                }
+                VfNodeKind::Stmt(_) => continue,
+                _ => SlotKind::Merge,
+            };
+            slot_obj.extend_from_slice(&objs);
+            slot_node.extend(std::iter::repeat_n(n.index() as u32, objs.len()));
+            slot_kind.extend(std::iter::repeat_n(kind, objs.len()));
+        }
 
-        // Resolved successors, in `svfg.succs` order per slot. The total
-        // is counted first so the table is allocated once.
+        // Resolved successors, in `svfg.succs` order per slot, and the
+        // reaching definitions per (node, object), sorted by object.
         let slot_at = |n: usize, o: MemId| slot_lookup(&slot_base, &slot_obj, n, o);
         let resolve = |succ: VfNodeId, o: MemId| match svfg.kind(succ) {
             VfNodeKind::Stmt(sid) if sid.index() < s_count => match module.stmt(sid).kind {
@@ -582,22 +607,37 @@ impl<'a> Solver<'a> {
                 gate: None,
             }),
         };
+        let mut preds: Vec<(MemId, u32)> = Vec::new();
+        let node_preds = |n: VfNodeId, preds: &mut Vec<(MemId, u32)>| {
+            preds.clear();
+            for &(p, o) in svfg.preds(n) {
+                if let Some(pk) = slot_at(p.index(), o) {
+                    preds.push((o, pk as u32));
+                }
+            }
+            preds.sort_by_key(|&(o, _)| o);
+        };
         let mut succ_base = vec![0u32; k_count + 1];
+        let (mut in_obj_count, mut in_slot_count) = (0, 0);
         for n in svfg.node_ids() {
             for &(succ, o) in svfg.succs(n) {
                 if let Some(k) = slot_at(n.index(), o) {
                     succ_base[k + 1] += u32::from(resolve(succ, o).is_some());
                 }
             }
+            node_preds(n, &mut preds);
+            in_slot_count += preds.len();
+            in_obj_count += preds.chunk_by(|a, b| a.0 == b.0).count();
         }
         for k in 0..k_count {
             succ_base[k + 1] += succ_base[k];
         }
         let mut succ = Vec::with_capacity(succ_base[k_count] as usize);
         let mut in_base = Vec::with_capacity(n_count + 1);
-        let (mut in_obj, mut in_slot_base, mut in_slot) = (Vec::new(), Vec::new(), Vec::new());
+        let mut in_obj = Vec::with_capacity(in_obj_count);
+        let mut in_slot_base = Vec::with_capacity(in_obj_count + 1);
+        let mut in_slot = Vec::with_capacity(in_slot_count);
         let mut scratch: Vec<(u32, SlotSucc)> = Vec::new();
-        let mut preds: Vec<(MemId, u32)> = Vec::new();
         for n in svfg.node_ids() {
             scratch.clear();
             for &(s, o) in svfg.succs(n) {
@@ -609,19 +649,11 @@ impl<'a> Solver<'a> {
             succ.extend(scratch.iter().map(|&(_, t)| t));
 
             in_base.push(in_obj.len() as u32);
-            preds.clear();
-            for &(p, o) in svfg.preds(n) {
-                if let Some(pk) = slot_at(p.index(), o) {
-                    preds.push((o, pk as u32));
-                }
-            }
-            preds.sort_by_key(|&(o, _)| o);
-            for (i, &(o, pk)) in preds.iter().enumerate() {
-                if i == 0 || preds[i - 1].0 != o {
-                    in_obj.push(o);
-                    in_slot_base.push(in_slot.len() as u32);
-                }
-                in_slot.push(pk);
+            node_preds(n, &mut preds);
+            for run in preds.chunk_by(|a, b| a.0 == b.0) {
+                in_obj.push(run[0].0);
+                in_slot_base.push(in_slot.len() as u32);
+                in_slot.extend(run.iter().map(|&(_, pk)| pk));
             }
         }
         in_base.push(in_obj.len() as u32);
@@ -650,8 +682,8 @@ impl<'a> Solver<'a> {
             in_obj,
             in_slot_base,
             in_slot,
-            pending_var: vec![PtsSet::new(); v_count],
-            pending_slot: vec![PtsSet::new(); k_count],
+            pending_var: vec![PtsRef::EMPTY; v_count],
+            pending_slot: vec![PtsRef::EMPTY; k_count],
             mode: vec![0; v_count + k_count],
             queue: LevelQueue::new(Vec::new()),
             v_count,
@@ -1083,16 +1115,16 @@ impl<'a> Solver<'a> {
     /// Delta visit of a variable: fold the pending delta in; forward only
     /// the genuinely new members.
     fn delta_var(&mut self, v: VarId) {
-        let delta = std::mem::take(&mut self.pending_var[v.index()]);
-        if delta.is_empty() {
+        let delta = std::mem::replace(&mut self.pending_var[v.index()], PtsRef::EMPTY);
+        if delta == PtsRef::EMPTY {
             return;
         }
-        let (new_ref, fresh) = self.pool.union_delta(self.pt_vars[v.index()], &delta);
-        if fresh.is_empty() {
+        let (new_ref, fresh) = self.pool.union_delta(self.pt_vars[v.index()], delta);
+        if fresh == PtsRef::EMPTY {
             return;
         }
         self.pt_vars[v.index()] = new_ref;
-        self.apply_var_growth(v, &fresh);
+        self.apply_var_growth(v, fresh);
     }
 
     /// Recompute visit of a variable: re-evaluate from the full source
@@ -1100,45 +1132,61 @@ impl<'a> Solver<'a> {
     /// replacement cascades recomputes downstream.
     fn recompute_var(&mut self, v: VarId) {
         let new = self.eval_var(v);
-        let cur_ref = self.pt_vars[v.index()];
-        let fresh = {
-            let cur = self.pool.get(cur_ref);
-            if *cur == new {
-                return;
-            }
-            cur.is_subset(&new).then(|| new.difference(cur))
-        };
-        self.pt_vars[v.index()] = self.pool.intern(new);
+        let cur = self.pt_vars[v.index()];
+        let new = self.pool.intern(new);
+        if new == cur {
+            return;
+        }
+        self.pt_vars[v.index()] = new;
         if self.trace_explain {
             self.trace_var_sources(v);
         }
-        match fresh {
-            Some(fresh) => self.apply_var_growth(v, &fresh),
+        match self.growth(cur, new) {
+            Some(fresh) => self.apply_var_growth(v, fresh),
             None => self.cascade_var_recompute(v),
         }
     }
 
+    /// The new bits of a replacement `cur → new` that only grows
+    /// (`new \ cur`); `None` when it drops a member.
+    fn growth(&mut self, cur: PtsRef, new: PtsRef) -> Option<PtsRef> {
+        let grows = self.pool.get(cur).is_subset(self.pool.get(new));
+        grows.then(|| self.pool.union_delta(cur, new).1)
+    }
+
+    /// Accumulates `delta` into variable `t`'s pending delta and queues it.
+    fn pend_var(&mut self, t: VarId, delta: PtsRef) {
+        self.pending_var[t.index()] = self.pool.union(self.pending_var[t.index()], delta);
+        self.push_delta(t.index());
+    }
+
+    /// Accumulates `delta` into slot `k`'s pending delta and queues it.
+    fn pend_slot(&mut self, k: usize, delta: PtsRef) {
+        self.pending_slot[k] = self.pool.union(self.pending_slot[k], delta);
+        self.push_delta(self.v_count + k);
+    }
+
     /// Forwards a growth of `pt(v)` by `fresh` along `v`'s dependencies.
-    fn apply_var_growth(&mut self, v: VarId, fresh: &PtsSet) {
+    fn apply_var_growth(&mut self, v: VarId, fresh: PtsRef) {
         for i in 0..self.var_deps[v.index()].len() {
             let dep = self.var_deps[v.index()][i];
             match dep {
                 VarDep::Flow(t) => {
                     if self.trace_explain {
-                        self.trace_vars(t, v, fresh, None);
+                        self.trace_vars(t, v, self.pool.get(fresh), None);
                     }
-                    self.pending_var[t.index()].union_in_place(fresh);
-                    self.push_delta(t.index());
+                    self.pend_var(t, fresh);
                 }
                 VarDep::Gep(t, field) => {
                     if self.trace_explain {
-                        self.trace_vars(t, v, fresh, Some(field));
+                        self.trace_vars(t, v, self.pool.get(fresh), Some(field));
                     }
-                    for o in fresh.iter() {
-                        let f = self.pre.objects().field_existing(o, field);
-                        self.pending_var[t.index()].insert(f);
-                    }
-                    self.push_delta(t.index());
+                    let objects = self.pre.objects();
+                    let fields = (self.pool.get(fresh).iter())
+                        .map(|o| objects.field_existing(o, field))
+                        .collect();
+                    let fields = self.pool.intern(fields);
+                    self.pend_var(t, fields);
                 }
                 VarDep::LoadPtr(sid, dst) => {
                     // The load now also reads the new objects: pull their
@@ -1146,15 +1194,15 @@ impl<'a> Solver<'a> {
                     // through the (now open) forward gate.
                     if let Some(node) = self.node_of(sid) {
                         let mut add = PtsSet::new();
-                        for o in fresh.iter() {
+                        for o in self.pool.get(fresh).iter() {
                             if self.trace_explain {
                                 self.trace_defs(true, dst.index() as u64, node, o, "load");
                             }
                             self.union_pt_in(node, o, &mut add);
                         }
                         if !add.is_empty() {
-                            self.pending_var[dst.index()].union_in_place(&add);
-                            self.push_delta(dst.index());
+                            let add = self.pool.intern(add);
+                            self.pend_var(dst, add);
                         }
                     }
                 }
@@ -1183,7 +1231,7 @@ impl<'a> Solver<'a> {
     /// `pt(val)` of the store at `sid` grew by `fresh`: every written slot's
     /// output contains `pt(val)` (exactly, for the strong slot; as one
     /// operand of the union otherwise), so the delta flows straight in.
-    fn on_store_val_growth(&mut self, sid: StmtId, fresh: &PtsSet) {
+    fn on_store_val_growth(&mut self, sid: StmtId, fresh: PtsRef) {
         let Some((n, s, e)) = self.store_slots(sid) else {
             return;
         };
@@ -1196,10 +1244,9 @@ impl<'a> Solver<'a> {
                 .contains(self.pt_vars[ptr.index()], self.slot_obj[k])
             {
                 if self.trace_explain {
-                    self.trace_store(n, val, fresh);
+                    self.trace_store(n, val, self.pool.get(fresh));
                 }
-                self.pending_slot[k].union_in_place(fresh);
-                self.push_delta(self.v_count + k);
+                self.pend_slot(k, fresh);
             }
         }
     }
@@ -1208,7 +1255,7 @@ impl<'a> Solver<'a> {
     /// slots. Only the `∅ → singleton` transition is non-monotone (the
     /// strong slot's output becomes exactly `pt(val)`); every other
     /// transition adds members and propagates as deltas.
-    fn on_store_ptr_growth(&mut self, sid: StmtId, fresh: &PtsSet) {
+    fn on_store_ptr_growth(&mut self, sid: StmtId, fresh: PtsRef) {
         let Some((n, s, e)) = self.store_slots(sid) else {
             return;
         };
@@ -1240,8 +1287,8 @@ impl<'a> Solver<'a> {
                     }
                     let add = self.pt_in(n, prev);
                     if !add.is_empty() {
-                        self.pending_slot[k].union_in_place(&add);
-                        self.push_delta(self.v_count + k);
+                        let add = self.pool.intern(add);
+                        self.pend_slot(k, add);
                     }
                 }
                 self.write_fresh_slots(n, s..e, val, fresh);
@@ -1264,27 +1311,26 @@ impl<'a> Solver<'a> {
         n: usize,
         slots: std::ops::Range<usize>,
         val: VarId,
-        fresh: &PtsSet,
+        fresh: PtsRef,
     ) {
         let val_ref = self.pt_vars[val.index()];
-        if self.pool.len_of(val_ref) == 0 {
+        if val_ref == PtsRef::EMPTY {
             return;
         }
         for k in slots {
-            if fresh.contains(self.slot_obj[k]) {
+            if self.pool.contains(fresh, self.slot_obj[k]) {
                 if self.trace_explain {
                     self.trace_store(n, val, self.pool.get(val_ref));
                 }
-                self.pending_slot[k].union_in_place(self.pool.get(val_ref));
-                self.push_delta(self.v_count + k);
+                self.pend_slot(k, val_ref);
             }
         }
     }
 
     /// Delta visit of a slot: fold the pending delta into its output.
     fn delta_slot(&mut self, k: usize) {
-        let delta = std::mem::take(&mut self.pending_slot[k]);
-        if delta.is_empty() {
+        let delta = std::mem::replace(&mut self.pending_slot[k], PtsRef::EMPTY);
+        if delta == PtsRef::EMPTY {
             return;
         }
         if let SlotKind::Store { ptr, .. } = self.slot_kind[k] {
@@ -1300,12 +1346,12 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        let (new_ref, fresh) = self.pool.union_delta(self.slot_out[k], &delta);
-        if fresh.is_empty() {
+        let (new_ref, fresh) = self.pool.union_delta(self.slot_out[k], delta);
+        if fresh == PtsRef::EMPTY {
             return;
         }
         self.slot_out[k] = new_ref;
-        self.forward_delta(k, &fresh);
+        self.forward_delta(k, fresh);
     }
 
     /// Recompute visit of a slot: re-evaluate its equation from full
@@ -1348,23 +1394,21 @@ impl<'a> Solver<'a> {
     /// Replaces a slot's output; growth forwards a delta, a non-monotone
     /// replacement cascades recomputes.
     fn replace_slot(&mut self, k: usize, new: PtsSet) {
-        let fresh = {
-            let cur = self.pool.get(self.slot_out[k]);
-            if *cur == new {
-                return;
-            }
-            cur.is_subset(&new).then(|| new.difference(cur))
-        };
-        self.slot_out[k] = self.pool.intern(new);
-        match fresh {
-            Some(fresh) => self.forward_delta(k, &fresh),
+        let cur = self.slot_out[k];
+        let new = self.pool.intern(new);
+        if new == cur {
+            return;
+        }
+        self.slot_out[k] = new;
+        match self.growth(cur, new) {
+            Some(fresh) => self.forward_delta(k, fresh),
             None => self.forward_recompute(k),
         }
     }
 
     /// Forwards `fresh` new members of slot `k`'s output to its resolved
     /// successors.
-    fn forward_delta(&mut self, k: usize, fresh: &PtsSet) {
+    fn forward_delta(&mut self, k: usize, fresh: PtsRef) {
         let (n, o) = (self.slot_node[k] as usize, self.slot_obj[k]);
         for i in self.succ_base[k] as usize..self.succ_base[k + 1] as usize {
             match self.succ[i] {
@@ -1378,10 +1422,9 @@ impl<'a> Solver<'a> {
                     let j = slot as usize;
                     if self.trace_explain {
                         let to = self.slot_node[j] as usize;
-                        self.trace_flow(false, to as u64, n, to, fresh, "merge");
+                        self.trace_flow(false, to as u64, n, to, self.pool.get(fresh), "merge");
                     }
-                    self.pending_slot[j].union_in_place(fresh);
-                    self.push_delta(self.v_count + j);
+                    self.pend_slot(j, fresh);
                 }
                 // P-LOAD is gated on o ∈ pt(ptr); a later pointer growth
                 // pulls the full input via LoadPtr.
@@ -1393,12 +1436,11 @@ impl<'a> Solver<'a> {
                                 dst.index() as u64,
                                 n,
                                 node as usize,
-                                fresh,
+                                self.pool.get(fresh),
                                 "load",
                             );
                         }
-                        self.pending_var[dst.index()].union_in_place(fresh);
-                        self.push_delta(dst.index());
+                        self.pend_var(dst, fresh);
                     }
                 }
             }
@@ -1438,7 +1480,7 @@ impl<'a> Solver<'a> {
             let v = VarId::from_usize(id);
             if m == RECOMP {
                 self.stats.recompute_items += 1;
-                self.pending_var[id].clear();
+                self.pending_var[id] = PtsRef::EMPTY;
                 self.recompute_var(v);
             } else {
                 self.stats.delta_items += 1;
@@ -1448,7 +1490,7 @@ impl<'a> Solver<'a> {
             let k = id - self.v_count;
             if m == RECOMP {
                 self.stats.recompute_items += 1;
-                self.pending_slot[k].clear();
+                self.pending_slot[k] = PtsRef::EMPTY;
                 self.recompute_slot(k);
             } else {
                 self.stats.delta_items += 1;
