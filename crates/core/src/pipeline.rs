@@ -25,7 +25,7 @@ use fsam_ir::icfg::Icfg;
 use fsam_ir::{Module, VarId};
 use fsam_mssa::Svfg;
 use fsam_pts::MemoryMeter;
-use fsam_threads::flow::precompute_contexts;
+use fsam_threads::flow::{precompute_contexts, InstanceSpace};
 use fsam_threads::hb::HbFacts;
 use fsam_threads::interleave::Interleaving;
 use fsam_threads::lock::LockAnalysis;
@@ -143,8 +143,7 @@ impl PhaseTimes {
     }
 }
 
-/// How many times each shared stage was actually built (cache misses), and
-/// whether the parallel interference path ran.
+/// How many times each shared stage was actually built (cache misses).
 ///
 /// A driver that runs all four Figure 12 configurations through one
 /// [`Pipeline`] sees every counter at 1: the ablations differ only in the
@@ -157,6 +156,9 @@ pub struct StageBuildCounts {
     pub icfg: usize,
     /// Context-table precompute passes.
     pub contexts: usize,
+    /// Instance-space builds (shared by the interleaving, PCG and lock
+    /// analyses).
+    pub instances: usize,
     /// Thread-oblivious SVFG builds.
     pub svfg: usize,
     /// Interleaving analysis builds.
@@ -179,6 +181,7 @@ struct StageCounters {
     pre: AtomicUsize,
     icfg: AtomicUsize,
     ctxs: AtomicUsize,
+    space: AtomicUsize,
     svfg: AtomicUsize,
     interleaving: AtomicUsize,
     pcg: AtomicUsize,
@@ -207,6 +210,7 @@ pub struct Pipeline<'m> {
     pre: OnceLock<Stage<PreAnalysis>>,
     cfg: OnceLock<(Arc<Icfg>, Arc<ThreadModel>, Duration)>,
     ctxs: OnceLock<Stage<ContextTable>>,
+    space: OnceLock<Stage<InstanceSpace>>,
     svfg: OnceLock<Stage<Svfg>>,
     interleaving: OnceLock<Stage<Interleaving>>,
     pcg: OnceLock<Stage<ProcMhp>>,
@@ -233,6 +237,7 @@ impl<'m> Pipeline<'m> {
             pre: OnceLock::new(),
             cfg: OnceLock::new(),
             ctxs: OnceLock::new(),
+            space: OnceLock::new(),
             svfg: OnceLock::new(),
             interleaving: OnceLock::new(),
             pcg: OnceLock::new(),
@@ -289,6 +294,7 @@ impl<'m> Pipeline<'m> {
             pre_analysis: self.counts.pre.load(Ordering::Relaxed),
             icfg: self.counts.icfg.load(Ordering::Relaxed),
             contexts: self.counts.ctxs.load(Ordering::Relaxed),
+            instances: self.counts.space.load(Ordering::Relaxed),
             svfg: self.counts.svfg.load(Ordering::Relaxed),
             interleaving: self.counts.interleaving.load(Ordering::Relaxed),
             pcg: self.counts.pcg.load(Ordering::Relaxed),
@@ -336,6 +342,21 @@ impl<'m> Pipeline<'m> {
         })
     }
 
+    /// The `(thread, context, node)` states every interference analysis
+    /// walks, built once for all of them.
+    fn space_stage(&self) -> &Stage<InstanceSpace> {
+        self.space.get_or_init(|| {
+            let (pre, _) = self.pre_stage();
+            let (icfg, tm, _) = self.cfg_stage();
+            let (ctxs, _) = self.ctxs_stage();
+            self.counts.space.fetch_add(1, Ordering::Relaxed);
+            let _span = self.trace.span("stage.instances");
+            let t0 = Instant::now();
+            let space = InstanceSpace::build(icfg, pre.call_graph(), tm, ctxs);
+            (Arc::new(space), t0.elapsed())
+        })
+    }
+
     fn svfg_stage(&self) -> &Stage<Svfg> {
         self.svfg.get_or_init(|| {
             let (pre, _) = self.pre_stage();
@@ -354,26 +375,24 @@ impl<'m> Pipeline<'m> {
     /// The interleaving analysis (§3.3.1), built on first demand.
     fn interleaving_stage(&self) -> &Stage<Interleaving> {
         self.interleaving.get_or_init(|| {
-            let (pre, _) = self.pre_stage();
             let (icfg, tm, _) = self.cfg_stage();
-            let (ctxs, _) = self.ctxs_stage();
+            let (space, _) = self.space_stage();
             self.counts.interleaving.fetch_add(1, Ordering::Relaxed);
             let _span = self.trace.span("stage.interleaving");
             let t0 = Instant::now();
-            let inter = Interleaving::compute(self.module, icfg, pre, tm, ctxs);
+            let inter = Interleaving::on_space(self.module, icfg, tm, Arc::clone(space));
             (Arc::new(inter), t0.elapsed())
         })
     }
 
     fn pcg_stage(&self) -> &Stage<ProcMhp> {
         self.pcg.get_or_init(|| {
-            let (pre, _) = self.pre_stage();
             let (icfg, tm, _) = self.cfg_stage();
-            let (ctxs, _) = self.ctxs_stage();
+            let (space, _) = self.space_stage();
             self.counts.pcg.fetch_add(1, Ordering::Relaxed);
             let _span = self.trace.span("stage.pcg");
             let t0 = Instant::now();
-            let pcg = ProcMhp::build(icfg, pre, tm, ctxs);
+            let pcg = ProcMhp::on_space(icfg, tm, Arc::clone(space));
             (Arc::new(pcg), t0.elapsed())
         })
     }
@@ -412,12 +431,12 @@ impl<'m> Pipeline<'m> {
     fn lock_stage(&self) -> &Stage<LockAnalysis> {
         self.lock.get_or_init(|| {
             let (pre, _) = self.pre_stage();
-            let (icfg, tm, _) = self.cfg_stage();
-            let (ctxs, _) = self.ctxs_stage();
+            let (icfg, _, _) = self.cfg_stage();
+            let (space, _) = self.space_stage();
             self.counts.lock.fetch_add(1, Ordering::Relaxed);
             let span = self.trace.span("stage.lock");
             let t0 = Instant::now();
-            let lock = LockAnalysis::compute(self.module, icfg, pre, tm, ctxs);
+            let lock = LockAnalysis::on_space(self.module, icfg, pre, Arc::clone(space));
             span.counter("lock.spans", lock.span_count as u64);
             (Arc::new(lock), t0.elapsed())
         })
@@ -454,11 +473,12 @@ impl<'m> Pipeline<'m> {
         let (icfg, tm, d) = self.cfg_stage();
         times.thread_model = *d;
 
-        // The interference analyses share the frozen context table; its
-        // precompute pass is accounted to the thread-model phase (it depends
-        // only on the ICFG and call graph).
+        // The interference analyses share the frozen context table and the
+        // instance space; both are accounted to the thread-model phase (they
+        // depend only on the ICFG, the call graph and the thread model).
         let (ctxs, d) = self.ctxs_stage();
         times.thread_model += *d;
+        times.thread_model += self.space_stage().1;
 
         let mhp = if config.interleaving {
             let (inter, d) = self.interleaving_stage();
@@ -546,14 +566,14 @@ impl<'m> Pipeline<'m> {
     /// the shared stages are materialized. Results are returned in the order
     /// of `configs`.
     pub fn run_many(&self, configs: &[PhaseConfig]) -> Vec<Fsam> {
-        // Materialize every shared stage the batch needs up front (with the
-        // interleaving/lock pair in parallel) so the per-configuration
-        // threads below only do per-run work on cached inputs.
+        // Materialize every shared stage the batch needs up front so the
+        // per-configuration threads below only do per-run work on cached
+        // inputs.
         let need_inter = configs.iter().any(|c| c.interleaving);
         let need_lock = configs.iter().any(|c| c.lock);
         let need_pcg = configs.iter().any(|c| !c.interleaving);
         let _ = self.svfg_stage();
-        let _ = self.ctxs_stage();
+        let _ = self.space_stage();
         if need_inter {
             let _ = self.interleaving_stage();
         }
@@ -1070,6 +1090,7 @@ mod tests {
                 pre_analysis: 1,
                 icfg: 1,
                 contexts: 1,
+                instances: 1,
                 svfg: 1,
                 interleaving: 1,
                 pcg: 1,

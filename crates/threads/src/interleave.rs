@@ -22,6 +22,8 @@
 //! per state, and per state the id of its alive set (the union over
 //! contexts at its thread and node).
 
+use std::sync::Arc;
+
 use fsam_ir::context::{ContextTable, CtxId};
 use fsam_ir::icfg::{Icfg, NodeId, NodeKind};
 use fsam_ir::{Module, StmtId, StmtKind};
@@ -261,7 +263,7 @@ impl ForwardProblem for InterleaveProblem<'_> {
 /// The result of the interleaving analysis.
 #[derive(Debug)]
 pub struct Interleaving {
-    space: InstanceSpace,
+    space: Arc<InstanceSpace>,
     /// `I(t, c, n)` per state.
     facts: Facts<ThreadSet>,
     /// Per state: the fact id of the union over contexts of `I(t, ·, n)`
@@ -271,10 +273,10 @@ pub struct Interleaving {
 }
 
 impl Interleaving {
-    /// Runs the interleaving analysis. `ctxs` is the shared, pre-populated
-    /// context table (see [`crate::flow::precompute_contexts`]); the lock
-    /// analysis must use the same one so instance ids align. Taking it
-    /// read-only lets both analyses run concurrently.
+    /// Runs the interleaving analysis on a space of its own. `ctxs` is the
+    /// shared, pre-populated context table (see
+    /// [`crate::flow::precompute_contexts`]); the lock analysis must use the
+    /// same one so instance ids align.
     pub fn compute(
         module: &Module,
         icfg: &Icfg,
@@ -283,6 +285,17 @@ impl Interleaving {
         ctxs: &ContextTable,
     ) -> Interleaving {
         let space = InstanceSpace::build(icfg, pre.call_graph(), tm, ctxs);
+        Interleaving::on_space(module, icfg, tm, Arc::new(space))
+    }
+
+    /// Runs the interleaving analysis on a shared instance space, the one
+    /// the lock analysis and the PCG backend of the same pipeline use.
+    pub fn on_space(
+        module: &Module,
+        icfg: &Icfg,
+        tm: &ThreadModel,
+        space: Arc<InstanceSpace>,
+    ) -> Interleaving {
         let mut facts = run_forward(&space, &mut InterleaveProblem::new(module, icfg, tm));
 
         // Alive sets: one union per thread-and-node run of states.

@@ -37,6 +37,7 @@
 //! sets.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use fsam_andersen::PreAnalysis;
 use fsam_ir::context::{ContextTable, CtxId};
@@ -142,7 +143,7 @@ pub(crate) struct SpanLocks {
 #[derive(Debug)]
 pub struct LockAnalysis {
     /// The states both lock data-flows and the spans run over.
-    space: InstanceSpace,
+    space: Arc<InstanceSpace>,
     held: Facts<LockSet>,
     may_held: Facts<LockSet>,
     spans: Vec<Span>,
@@ -188,10 +189,10 @@ impl Marks {
 }
 
 impl LockAnalysis {
-    /// Runs the lock analysis. `ctxs` must be the same shared, pre-populated
-    /// context table (see [`crate::flow::precompute_contexts`]) used by the
-    /// interleaving analysis so instance ids agree. Taking it read-only lets
-    /// both analyses run concurrently.
+    /// Runs the lock analysis on a space of its own. `ctxs` must be the
+    /// same shared, pre-populated context table (see
+    /// [`crate::flow::precompute_contexts`]) used by the interleaving
+    /// analysis so instance ids agree.
     pub fn compute(
         module: &Module,
         icfg: &Icfg,
@@ -200,6 +201,17 @@ impl LockAnalysis {
         ctxs: &ContextTable,
     ) -> LockAnalysis {
         let space = InstanceSpace::build(icfg, pre.call_graph(), tm, ctxs);
+        LockAnalysis::on_space(module, icfg, pre, Arc::new(space))
+    }
+
+    /// Runs the lock analysis on a shared instance space, the one the
+    /// interleaving analysis of the same pipeline uses.
+    pub fn on_space(
+        module: &Module,
+        icfg: &Icfg,
+        pre: &PreAnalysis,
+        space: Arc<InstanceSpace>,
+    ) -> LockAnalysis {
         let mut problem = HeldLocks {
             module,
             pre,

@@ -120,7 +120,7 @@ impl MhpOracle for MhpBackend {
 /// context-sensitive locksets apply under both backends.
 #[derive(Debug)]
 pub struct ProcMhp {
-    space: InstanceSpace,
+    space: Arc<InstanceSpace>,
     /// `concurrent[a][b]` for thread pair (a, b).
     concurrent: Vec<Vec<bool>>,
     multi: Vec<bool>,
@@ -131,6 +131,13 @@ impl ProcMhp {
     /// pre-populated context table (see
     /// [`precompute_contexts`](crate::flow::precompute_contexts)).
     pub fn build(icfg: &Icfg, pre: &PreAnalysis, tm: &ThreadModel, ctxs: &ContextTable) -> ProcMhp {
+        let space = InstanceSpace::build(icfg, pre.call_graph(), tm, ctxs);
+        ProcMhp::on_space(icfg, tm, Arc::new(space))
+    }
+
+    /// Builds the procedure-level MHP relation on a shared instance space,
+    /// the one the lock analysis of the same pipeline uses.
+    pub fn on_space(icfg: &Icfg, tm: &ThreadModel, space: Arc<InstanceSpace>) -> ProcMhp {
         let n = tm.len();
         let mut concurrent = vec![vec![false; n]; n];
         for a in tm.threads() {
@@ -145,7 +152,7 @@ impl ProcMhp {
         }
         let multi = tm.threads().iter().map(|t| t.multi_forked).collect();
         ProcMhp {
-            space: InstanceSpace::build(icfg, pre.call_graph(), tm, ctxs),
+            space,
             concurrent,
             multi,
         }

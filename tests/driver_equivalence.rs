@@ -105,6 +105,10 @@ fn batch_builds_each_shared_stage_once() {
     assert_eq!(counts.pre_analysis, 1, "one Andersen pre-analysis");
     assert_eq!(counts.icfg, 1, "one ICFG + thread model");
     assert_eq!(counts.contexts, 1, "one context-table precompute");
+    assert_eq!(
+        counts.instances, 1,
+        "one instance space, shared by the interleaving, PCG and lock analyses"
+    );
     assert_eq!(counts.svfg, 1, "one thread-oblivious SVFG");
     assert_eq!(counts.interleaving, 1, "one interleaving analysis");
     assert_eq!(counts.pcg, 1, "one PCG fallback (for no-interleaving)");
