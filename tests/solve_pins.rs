@@ -18,6 +18,15 @@
 //! the NonSparse baseline's `processed` and `pts_entries`. The oracle and
 //! the baseline pop in `TopoOrder::priority` order, so a queue change that
 //! keeps these counts pops the same sequence.
+//!
+//! The last rows pin the shape of the thread-aware SVFG the full
+//! configuration solves over, per program at `Scale::SMOKE` and for x264 at
+//! 0.32: its node count, the edges present (the `succs` row lengths), the
+//! thread-aware edges among them (present edges beyond the
+//! thread-oblivious graph's), the memory phis, and an FNV-1a checksum over
+//! every node kind, every `succs` and `preds` row in order and whether
+//! each successor edge is a thread edge. A graph refactor that keeps these
+//! rows builds the same nodes, in the same numbering, with the same rows.
 //! Regenerate after an intentional change with:
 //!
 //! ```text
@@ -27,6 +36,7 @@
 use fsam::nonsparse::{self, NonSparseOutcome};
 use fsam::{Fsam, PhaseConfig};
 use fsam_ir::Module;
+use fsam_mssa::Svfg;
 use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale, SyncProgram};
 
@@ -72,6 +82,47 @@ fn route_rows(name: &str, module: &Module, fsam: &Fsam) -> [String; 3] {
     ]
 }
 
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The shape row of the thread-aware SVFG of one full-config run.
+fn svfg_row(label: &str, module: &Module, fsam: &Fsam) -> String {
+    let svfg = &fsam.svfg;
+    let base: usize = {
+        let oblivious = Svfg::build(module, &fsam.pre, &fsam.tm);
+        oblivious.node_ids().map(|n| oblivious.succs(n).len()).sum()
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut edges = 0;
+    for n in svfg.node_ids() {
+        h = fnv(h, format!("{:?}", svfg.kind(n)).as_bytes());
+        h = fnv(h, &(svfg.succs(n).len() as u32).to_le_bytes());
+        for &(t, o) in svfg.succs(n) {
+            h = fnv(h, &(t.index() as u32).to_le_bytes());
+            h = fnv(h, &o.raw().to_le_bytes());
+            h = fnv(h, &[u8::from(svfg.is_thread_edge(n, t))]);
+        }
+        h = fnv(h, &(svfg.preds(n).len() as u32).to_le_bytes());
+        for &(p, o) in svfg.preds(n) {
+            h = fnv(h, &(p.index() as u32).to_le_bytes());
+            h = fnv(h, &o.raw().to_le_bytes());
+        }
+        edges += svfg.succs(n).len();
+    }
+    format!(
+        "{label} svfg nodes={} edges={edges} thread_edges={} mem_phis={} {h:016x}",
+        svfg.node_count(),
+        edges - base,
+        svfg.stats.mem_phis
+    )
+}
+
 fn rows() -> Vec<String> {
     let mut modules: Vec<(String, Module)> = Program::all()
         .into_iter()
@@ -84,6 +135,7 @@ fn rows() -> Vec<String> {
     );
     let mut rows = Vec::new();
     let mut routes = Vec::new();
+    let mut shapes = Vec::new();
     for (name, module) in &modules {
         for (config_name, config) in configs() {
             let fsam = Fsam::analyze_with(module, config);
@@ -91,13 +143,21 @@ fn rows() -> Vec<String> {
             rows.push(format!("{name}@0.05 {config_name} {sum:016x}"));
             if config_name == "full" {
                 routes.extend(route_rows(name, module, &fsam));
+                shapes.push(svfg_row(&format!("{name}@0.05"), module, &fsam));
             }
         }
     }
     let x264 = Program::X264.generate(Scale(0.32));
-    let sum = checksum(&x264, &Fsam::analyze(&x264));
+    let x264_fsam = Fsam::analyze(&x264);
+    let sum = checksum(&x264, &x264_fsam);
     rows.push(format!("{}@0.32 full {sum:016x}", Program::X264.name()));
+    shapes.push(svfg_row(
+        &format!("{}@0.32", Program::X264.name()),
+        &x264,
+        &x264_fsam,
+    ));
     rows.extend(routes);
+    rows.extend(shapes);
     rows
 }
 
