@@ -19,5 +19,7 @@ pub mod topo;
 
 pub use annotate::Annotations;
 pub use modref::ModRef;
-pub use svfg::{MemorySsa, NodeId, NodeKind, Svfg, SvfgStats, ThreadEdgeInsertion};
+pub use svfg::{
+    Csr, NodeId, NodeKind, SlotKind, SlotSucc, SlotTables, Svfg, SvfgStats, ThreadEdgeInsertion,
+};
 pub use topo::{condense, TopoOrder};
