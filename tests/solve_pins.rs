@@ -27,6 +27,15 @@
 //! every node kind, every `succs` and `preds` row in order and whether
 //! each successor edge is a thread edge. A graph refactor that keeps these
 //! rows builds the same nodes, in the same numbering, with the same rows.
+//!
+//! The `andersen` rows pin the pre-analysis, per program at `Scale::SMOKE`
+//! and for x264 and raytrace at 0.32: every `AndersenStats` field but the
+//! wall clock, the number of interned objects, and an FNV-1a checksum over
+//! every variable's and every object's points-to set (by id), each
+//! object's root, offset, collapsed and singleton flags, and the resolved
+//! targets of every call and fork site. A pre-analysis refactor that keeps
+//! these rows ran the same rounds and interned the same field objects in
+//! the same order.
 //! Regenerate after an intentional change with:
 //!
 //! ```text
@@ -35,8 +44,11 @@
 
 use fsam::nonsparse::{self, NonSparseOutcome};
 use fsam::{Fsam, PhaseConfig};
+use fsam_andersen::PreAnalysis;
+use fsam_ir::stmt::StmtKind;
 use fsam_ir::Module;
 use fsam_mssa::Svfg;
+use fsam_pts::{MemKind, PtsSet};
 use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale, SyncProgram};
 
@@ -123,6 +135,54 @@ fn svfg_row(label: &str, module: &Module, fsam: &Fsam) -> String {
     )
 }
 
+/// The pre-analysis row of one program.
+fn andersen_row(label: &str, module: &Module, pre: &PreAnalysis) -> String {
+    let set = |h: u64, s: &PtsSet| {
+        let h = fnv(h, &(s.len() as u32).to_le_bytes());
+        s.iter().fold(h, |h, m| fnv(h, &m.raw().to_le_bytes()))
+    };
+    let om = pre.objects();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for v in module.var_ids() {
+        h = set(h, pre.pt_var(v));
+    }
+    for m in om.mem_ids() {
+        h = set(h, pre.pt_mem(m));
+        let offset = match om.kind(m) {
+            MemKind::Base(_) => 0,
+            MemKind::Field { field, .. } => field,
+        };
+        h = fnv(h, &om.root(m).raw().to_le_bytes());
+        h = fnv(h, &offset.to_le_bytes());
+        h = fnv(
+            h,
+            &[u8::from(om.is_collapsed(m)), u8::from(om.is_singleton(m))],
+        );
+    }
+    for (sid, stmt) in module.stmts() {
+        if matches!(stmt.kind, StmtKind::Call { .. } | StmtKind::Fork { .. }) {
+            let targets: Vec<_> = pre.call_graph().targets(sid).collect();
+            h = fnv(h, &(targets.len() as u32).to_le_bytes());
+            for f in targets {
+                h = fnv(h, &(f.index() as u32).to_le_bytes());
+            }
+        }
+    }
+    let s = &pre.stats;
+    format!(
+        "{label} andersen rounds={} nodes={} copy_edges={} pts_entries={} scc_merges={} \
+         indirect_resolved={} pwc_collapses={} objects={} {h:016x}",
+        s.rounds,
+        s.nodes,
+        s.copy_edges,
+        s.pts_entries,
+        s.scc_merges,
+        s.indirect_resolved,
+        s.pwc_collapses,
+        om.len()
+    )
+}
+
 fn rows() -> Vec<String> {
     let mut modules: Vec<(String, Module)> = Program::all()
         .into_iter()
@@ -136,6 +196,7 @@ fn rows() -> Vec<String> {
     let mut rows = Vec::new();
     let mut routes = Vec::new();
     let mut shapes = Vec::new();
+    let mut pres = Vec::new();
     for (name, module) in &modules {
         for (config_name, config) in configs() {
             let fsam = Fsam::analyze_with(module, config);
@@ -144,6 +205,7 @@ fn rows() -> Vec<String> {
             if config_name == "full" {
                 routes.extend(route_rows(name, module, &fsam));
                 shapes.push(svfg_row(&format!("{name}@0.05"), module, &fsam));
+                pres.push(andersen_row(&format!("{name}@0.05"), module, &fsam.pre));
             }
         }
     }
@@ -156,8 +218,20 @@ fn rows() -> Vec<String> {
         &x264,
         &x264_fsam,
     ));
+    pres.push(andersen_row(
+        &format!("{}@0.32", Program::X264.name()),
+        &x264,
+        &x264_fsam.pre,
+    ));
+    let raytrace = Program::Raytrace.generate(Scale(0.32));
+    pres.push(andersen_row(
+        &format!("{}@0.32", Program::Raytrace.name()),
+        &raytrace,
+        &PreAnalysis::run(&raytrace),
+    ));
     rows.extend(routes);
     rows.extend(shapes);
+    rows.extend(pres);
     rows
 }
 
