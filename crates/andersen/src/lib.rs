@@ -1,9 +1,13 @@
 //! # fsam-andersen — the FSAM pre-analysis
 //!
 //! An inclusion-based (Andersen-style) pointer analysis: flow- and
-//! context-insensitive, field-sensitive, with wave propagation, online cycle
-//! collapsing (including positive-weight cycles from field constraints) and
-//! an on-the-fly call graph that resolves function pointers and fork targets.
+//! context-insensitive, field-sensitive, with wave propagation of
+//! differences, online cycle collapsing (including positive-weight cycles
+//! from field constraints) and an on-the-fly call graph that resolves
+//! function pointers and fork targets. Each round costs what changed since
+//! the last one: only deltas travel, the cycle pass runs only after the
+//! graph changed, and a complex constraint whose pointer did not change is
+//! skipped without reading its set.
 //!
 //! This is the *pre-analysis* stage of the paper's Figure 2 pipeline: its
 //! over-approximate points-to sets bootstrap the memory SSA, the thread
@@ -34,6 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod graph;
+#[cfg(test)]
+mod reference;
 pub mod solve;
 
 pub use solve::{AndersenStats, PreAnalysis};

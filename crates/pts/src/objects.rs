@@ -83,6 +83,8 @@ pub const MAX_FIELD_OFFSET: u32 = 4096;
 pub struct ObjectModel {
     infos: Vec<MemInfo>,
     field_intern: HashMap<(MemId, u32), MemId>,
+    /// Each base object's interned field objects, in creation order.
+    fields: Vec<Vec<MemId>>,
     base_count: u32,
     /// Cached per-base-object IR kind, for cheap queries.
     obj_kinds: Vec<ObjKind>,
@@ -117,6 +119,7 @@ impl ObjectModel {
         Self {
             infos,
             field_intern: HashMap::new(),
+            fields: vec![Vec::new(); base_count as usize],
             base_count,
             obj_kinds,
             is_array,
@@ -210,6 +213,7 @@ impl ObjectModel {
             collapsed: false,
         });
         self.field_intern.insert((root, off), id);
+        self.fields[root.index()].push(id);
         id
     }
 
@@ -247,13 +251,10 @@ impl ObjectModel {
         self.infos[root.index()].collapsed
     }
 
-    /// Existing field objects of `root` (used to merge state on collapse).
-    pub fn fields_of(&self, root: MemId) -> Vec<MemId> {
-        self.field_intern
-            .iter()
-            .filter(|((r, _), _)| *r == root)
-            .map(|(_, &id)| id)
-            .collect()
+    /// Existing field objects of base object `root`, in creation order
+    /// (used to merge state on collapse).
+    pub fn fields_of(&self, root: MemId) -> &[MemId] {
+        &self.fields[root.index()]
     }
 
     /// Whether `mem` denotes a unique runtime location (strong updates are
@@ -403,7 +404,7 @@ mod tests {
         assert!(om.is_collapsed(g));
         assert!(om.is_collapsed(f1));
         assert_eq!(om.field(g, 7), g);
-        assert_eq!(om.fields_of(g), vec![f1]);
+        assert_eq!(om.fields_of(g), [f1]);
     }
 
     #[test]
