@@ -590,6 +590,7 @@ impl Svfg {
             }
         }
         outcome.edges_added = self.add_edges(&edges);
+        self.stats.nodes = self.nodes.len();
         self.stats.thread_edges += outcome.edges_added;
         self.stats.edges += outcome.edges_added;
         self.slots = OnceLock::new();
@@ -1273,6 +1274,24 @@ mod tests {
             assert!(reaches(&naive, s, a, o));
         }
         assert_eq!(grouped.stats.thread_edges, 4, "small product stays direct");
+    }
+
+    #[test]
+    fn grouped_insertion_counts_the_nodes_it_adds() {
+        let (m, _, mut svfg, g) = interference_world();
+        let sw0 = stmt_where(&m, "worker", |k| matches!(k, StmtKind::Store { .. }), 0);
+        // A 9×9 product of statements the base graph lacks: one junction
+        // and 17 new statement nodes.
+        let hi = m.stmt_count() as u32;
+        let stores: Vec<StmtId> = (0..9)
+            .map(|i| if i == 0 { sw0 } else { StmtId::new(hi + i) })
+            .collect();
+        let accesses: Vec<StmtId> = (0..9).map(|i| StmtId::new(hi + 100 + i)).collect();
+        let before = svfg.node_count();
+        assert_eq!(svfg.stats.nodes, before);
+        svfg.insert_thread_edges_grouped(&[group(g, &stores, &accesses)]);
+        assert_eq!(svfg.node_count(), before + 1 + 8 + 9);
+        assert_eq!(svfg.stats.nodes, svfg.node_count());
     }
 
     #[test]
