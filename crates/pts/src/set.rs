@@ -270,6 +270,17 @@ impl PtsSet {
         }
     }
 
+    /// Drops a bitmap of at most `SMALL_MAX` members to the sorted vector,
+    /// the representation inserting the same members one by one builds
+    /// (a [`difference`](PtsSet::difference) of bitmaps stays a bitmap).
+    pub fn compact(&mut self) {
+        if let Repr::Bits { len, .. } = self.repr {
+            if len <= SMALL_MAX {
+                *self = self.iter().collect();
+            }
+        }
+    }
+
     /// Whether `self ⊆ other`.
     pub fn is_subset(&self, other: &PtsSet) -> bool {
         match (&self.repr, &other.repr) {
@@ -532,6 +543,20 @@ mod tests {
         assert_eq!(d2, PtsSet::singleton(m(200)));
         assert!(big.difference(&big).is_empty());
         assert_eq!(big.difference(&PtsSet::new()), big);
+    }
+
+    #[test]
+    fn compact_drops_small_bitmaps_to_the_vector() {
+        let big: PtsSet = (0..40).map(m).collect();
+        let mut d = big.difference(&(16..40).map(m).collect());
+        assert!(matches!(d.repr, Repr::Bits { .. }));
+        d.compact();
+        assert!(matches!(d.repr, Repr::Small(_)));
+        assert_eq!(d, (0..16).map(m).collect());
+        // Past the threshold the bitmap stays.
+        let mut d = big.difference(&(17..40).map(m).collect());
+        d.compact();
+        assert!(matches!(d.repr, Repr::Bits { len: 17, .. }));
     }
 
     #[test]
