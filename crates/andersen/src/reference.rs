@@ -531,6 +531,8 @@ impl<'m> Solver<'m> {
         let was_collapsed = self.om.is_collapsed(root);
         let result = self.om.field(o, field);
         if !was_collapsed && self.om.is_collapsed(root) {
+            // `field` collapsed the root on an offset overflow.
+            self.stats.pwc_collapses += 1;
             self.collapse_object(root);
             return self.om.root(o);
         }

@@ -407,6 +407,7 @@ impl<'m> Solver<'m> {
         let result = self.om.field(o, field);
         if !was_collapsed && self.om.is_collapsed(root) {
             // An offset overflow collapsed the root.
+            self.stats.pwc_collapses += 1;
             self.merge_fields(root);
             return root;
         }
@@ -945,6 +946,7 @@ mod tests {
         let pa = check(&m);
         let s = pa.objects().base(m.global_by_name("s").unwrap());
         assert!(pa.objects().is_collapsed(s));
+        assert_eq!(pa.stats.pwc_collapses, 1);
         assert_eq!(pt_names(&pa, &m, "main", "q"), vec!["s"]);
         assert_eq!(pt_names(&pa, &m, "main", "r"), vec!["s"]);
         assert_eq!(pt_names(&pa, &m, "main", "c"), vec!["a"]);
