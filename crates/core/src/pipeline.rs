@@ -446,10 +446,12 @@ impl<'m> Pipeline<'m> {
 
     /// Runs one configuration, reusing every already-built shared stage.
     ///
-    /// The value-flow phase, thread-aware edge insertion (merging the thread
-    /// edges into a clone of the cached thread-oblivious SVFG's flat tables)
-    /// and the sparse solve (which lays out the clone's slot tables) are
-    /// per-configuration work.
+    /// The value-flow phase, thread-aware edge insertion and the sparse
+    /// solve are per-configuration work. The insertion runs on a clone of
+    /// the cached thread-oblivious SVFG, which shares the cached graph's
+    /// edge rows and copies only its node tables; the insertion builds the
+    /// clone's own rows from the shared ones, and the solve lays out its
+    /// slot tables.
     pub fn run(&self, config: PhaseConfig) -> Fsam {
         let mut times = PhaseTimes::default();
         let run_span = self.trace.span("pipeline.run");
