@@ -17,6 +17,7 @@
 //! * [`parse`] / [`mod@print`] — the FIR textual syntax (round-trippable);
 //! * [`verify`] — SSA well-formedness checking;
 //! * [`dom`] / [`loops`] — dominators, dominance frontiers, natural loops;
+//! * [`csr`] — counted flat tables of short rows;
 //! * [`icfg`] — the interprocedural CFG with call/return node splitting
 //!   (paper §3.1);
 //! * [`callgraph`] — call graph with separate call and fork edges;
@@ -47,6 +48,7 @@
 pub mod builder;
 pub mod callgraph;
 pub mod context;
+pub mod csr;
 pub mod dom;
 pub mod icfg;
 pub mod ids;
