@@ -1,10 +1,14 @@
 //! Pins the sparse solve's complete fixpoint with snapshot checksums.
 //!
-//! Each row is the header FNV-1a checksum of
-//! `AnalysisDb::capture(..).to_bytes()`: it seals every points-to set,
-//! every handle table, every `SolverStats` field (including
-//! `peak_pts_bytes`) and the pool's handle order. A solver refactor that
-//! keeps this table unchanged reached the same fixpoint by the same route.
+//! Each row holds two header FNV-1a checksums of
+//! `AnalysisDb::capture(..).to_bytes()`. The first seals every points-to
+//! set, every handle table, every `SolverStats` field (including
+//! `peak_pts_bytes`) and the pool's handle order. The second, after
+//! `without_peak=`, seals the same snapshot rebuilt through
+//! `SparseResult::from_tables` with `peak_pts_bytes = 0`, so a change to
+//! the points-to store's in-flight bytes alone moves the first checksum
+//! and keeps the second. A solver refactor that keeps this table unchanged
+//! reached the same fixpoint by the same route.
 //!
 //! Rows cover the ten suite programs and the three sync programs under all
 //! five phase configurations at `Scale::SMOKE`, plus x264 at scale 0.32
@@ -12,9 +16,9 @@
 //!
 //! The rows after those pin the routes of the three worklists in plain
 //! text, per program at `Scale::SMOKE` under the full configuration: the
-//! delta solver's `processed`, `delta_items` and `recompute_items` (also
-//! sealed in the checksums, spelled out here so a route change reads as a
-//! before → after table), the recompute oracle's `processed` count, and
+//! delta solver's `processed`, `delta_items`, `recompute_items` and
+//! `peak_pts_bytes` (also sealed in the checksums, spelled out here so a
+//! route or store change reads as a before → after table), the recompute oracle's `processed` count, and
 //! the NonSparse baseline's `processed` and `pts_entries`. The oracle and
 //! the baseline pop in `TopoOrder::priority` order, so a queue change that
 //! keeps these counts pops the same sequence.
@@ -54,14 +58,14 @@
 //! ```
 
 use fsam::nonsparse::{self, NonSparseOutcome};
-use fsam::{Fsam, PhaseConfig};
+use fsam::{Fsam, PhaseConfig, SolverStats, SparseResult};
 use fsam_andersen::PreAnalysis;
 use fsam_ir::parse::parse_module;
 use fsam_ir::print::module_to_string;
 use fsam_ir::stmt::StmtKind;
 use fsam_ir::Module;
 use fsam_mssa::Svfg;
-use fsam_pts::{MemKind, PtsSet};
+use fsam_pts::{MemKind, PtsPool, PtsSet};
 use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale, SyncProgram};
 
@@ -81,10 +85,41 @@ fn pins_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/solve_pins.txt")
 }
 
-/// The header checksum of the snapshot of one solved run.
-fn checksum(module: &Module, fsam: &Fsam) -> u64 {
-    let bytes = AnalysisDb::capture(module, fsam).to_bytes();
-    u64::from_le_bytes(bytes[20..28].try_into().unwrap())
+/// The checksum row of one solved run: the header checksum of its
+/// snapshot, and of the same snapshot with `peak_pts_bytes` zeroed.
+fn checksum_row(label: &str, module: &Module, fsam: &Fsam) -> String {
+    let header = |db: &AnalysisDb| {
+        let bytes = db.to_bytes();
+        u64::from_le_bytes(bytes[20..28].try_into().unwrap())
+    };
+    let db = AnalysisDb::capture(module, fsam);
+    let r = db.result();
+    let (slot_base, slot_obj, slot_out) = r.slot_tables();
+    let result = SparseResult::from_tables(
+        PtsPool::from_sets(r.pool().sets().cloned()).expect("a captured pool is canonical"),
+        r.var_handles().to_vec(),
+        slot_base.to_vec(),
+        slot_obj.to_vec(),
+        slot_out.to_vec(),
+        SolverStats {
+            peak_pts_bytes: 0,
+            ..r.stats.clone()
+        },
+    )
+    .expect("a captured result's tables are valid");
+    let without_peak = AnalysisDb::new(
+        result,
+        db.mhp().clone(),
+        db.hb().clone(),
+        db.var_names().to_vec(),
+        db.obj_names().to_vec(),
+    )
+    .expect("a captured database is consistent");
+    format!(
+        "{label} {:016x} without_peak={:016x}",
+        header(&db),
+        header(&without_peak)
+    )
 }
 
 /// The delta solver's, the oracle's and the baseline's route counts on
@@ -98,8 +133,8 @@ fn route_rows(name: &str, module: &Module, fsam: &Fsam) -> [String; 3] {
     let delta = &fsam.result.stats;
     [
         format!(
-            "{name}@0.05 delta processed={} delta_items={} recompute_items={}",
-            delta.processed, delta.delta_items, delta.recompute_items
+            "{name}@0.05 delta processed={} delta_items={} recompute_items={} peak_pts_bytes={}",
+            delta.processed, delta.delta_items, delta.recompute_items, delta.peak_pts_bytes
         ),
         format!("{name}@0.05 recompute processed={}", oracle.stats.processed),
         format!(
@@ -287,8 +322,11 @@ fn rows() -> Vec<String> {
         parses.push(parse_row(&format!("{name}@0.05"), module));
         for (config_name, config) in configs() {
             let fsam = Fsam::analyze_with(module, config);
-            let sum = checksum(module, &fsam);
-            rows.push(format!("{name}@0.05 {config_name} {sum:016x}"));
+            rows.push(checksum_row(
+                &format!("{name}@0.05 {config_name}"),
+                module,
+                &fsam,
+            ));
             if config_name == "full" {
                 routes.extend(route_rows(name, module, &fsam));
                 shapes.push(svfg_row(&format!("{name}@0.05"), module, &fsam));
@@ -298,8 +336,11 @@ fn rows() -> Vec<String> {
     }
     let x264 = Program::X264.generate(Scale(0.32));
     let x264_fsam = Fsam::analyze(&x264);
-    let sum = checksum(&x264, &x264_fsam);
-    rows.push(format!("{}@0.32 full {sum:016x}", Program::X264.name()));
+    rows.push(checksum_row(
+        &format!("{}@0.32 full", Program::X264.name()),
+        &x264,
+        &x264_fsam,
+    ));
     shapes.push(svfg_row(
         &format!("{}@0.32", Program::X264.name()),
         &x264,
