@@ -70,11 +70,17 @@
 //! that is disjoint from the value it grows, flows on as the same handle,
 //! so a chain of merge slots copies 4 bytes per hop instead of a set. Sets
 //! built member by member (a Gep's fields, a load's pulled definitions, a
-//! store slot's pulled input, a recompute's new value) are interned once
-//! and then unioned like any other delta. The pool is compacted down to the
-//! live values when the solver finishes, so the final
-//! [`SparseResult::pts_bytes`] reflects the retained state while
-//! [`SolverStats::peak_pts_bytes`] records the in-flight peak.
+//! weakened store slot's pulled input, a recompute's new value) are built
+//! in one scratch set the solver reuses, interned from there — the pool
+//! copies one only if it is new — and then unioned like any other delta;
+//! the difference inside `union_delta` is built in the pool's own scratch
+//! set the same way. A strong slot's recompute takes `pt(val)`'s handle
+//! and builds nothing. So the visit loop allocates about once per set the
+//! pool keeps, not once per set it derives. When the solver finishes, the
+//! live values move into the compacted, frozen pool ([`PtsPool::retain`]),
+//! renumbered in first-use order, so the final [`SparseResult::pts_bytes`]
+//! reflects the retained sets alone while [`SolverStats::peak_pts_bytes`]
+//! records the in-flight peak.
 
 use std::collections::HashMap;
 
@@ -221,9 +227,10 @@ impl SparseResult {
     /// the slot count, `slot_obj`/`slot_out` the same length, objects
     /// strictly ascending within each node's range (binary-search order),
     /// and every handle interned in `pool`. Violations are reported as
-    /// messages, never panics, so corrupted snapshots fail closed.
+    /// messages, never panics, so corrupted snapshots fail closed. The
+    /// pool is frozen ([`PtsPool::freeze`]): nothing interns into a result.
     pub fn from_tables(
-        pool: PtsPool,
+        mut pool: PtsPool,
         pt_vars: Vec<PtsRef>,
         slot_base: Vec<u32>,
         slot_obj: Vec<MemId>,
@@ -269,6 +276,7 @@ impl SparseResult {
                 ));
             }
         }
+        pool.freeze();
         Ok(SparseResult {
             pool,
             pt_vars,
@@ -289,19 +297,17 @@ impl SparseResult {
         stats: SolverStats,
     ) -> SparseResult {
         let mut pool = PtsPool::new();
-        let pt_vars = pt_var_sets.into_iter().map(|s| pool.intern(s)).collect();
+        let pt_vars = pt_var_sets.iter().map(|s| pool.intern(s)).collect();
         let mut keys: Vec<(VfNodeId, MemId)> = pt_defs.keys().copied().collect();
         keys.sort_unstable();
         let mut result = SparseResult {
             slots: Csr::from_pairs(node_count, keys.iter().map(|&(n, o)| (n.index(), o))),
-            slot_out: keys
-                .iter()
-                .map(|k| pool.intern(pt_defs[k].clone()))
-                .collect(),
+            slot_out: keys.iter().map(|k| pool.intern(&pt_defs[k])).collect(),
             pool,
             pt_vars,
             stats,
         };
+        result.pool.freeze();
         result.stats.peak_pts_bytes = result.pts_bytes();
         result
     }
@@ -426,6 +432,10 @@ struct Solver<'a> {
     /// The graph's slots, one per object definition (see [`SlotTables`]).
     slots: &'a SlotTables,
     pool: PtsPool,
+    /// Where a Gep's fields, a load's or a weakened store's pulled
+    /// definitions and a recompute's new value are built before they are
+    /// interned.
+    scratch: PtsSet,
     pt_vars: Vec<PtsRef>,
     /// Row `v`: variable `v`'s sources, and its dependencies.
     sources: Csr<VarSource>,
@@ -462,6 +472,7 @@ impl<'a> Solver<'a> {
             svfg,
             slots: svfg.slots(),
             pool: PtsPool::new(),
+            scratch: PtsSet::new(),
             pt_vars: vec![PtsRef::EMPTY; v_count],
             sources,
             deps,
@@ -821,16 +832,24 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Merge of the reaching definitions of `o` at node `n`.
-    fn pt_in(&self, node: usize, o: MemId) -> PtsSet {
-        let mut set = PtsSet::new();
-        self.union_pt_in(node, o, &mut set);
-        set
+    /// Builds a set in the scratch set with `build` and interns it; an
+    /// empty set is [`PtsRef::EMPTY`] without a lookup.
+    fn intern_built(&mut self, build: impl FnOnce(&Self, &mut PtsSet)) -> PtsRef {
+        let mut set = std::mem::take(&mut self.scratch);
+        set.reset();
+        build(self, &mut set);
+        let r = if set.is_empty() {
+            PtsRef::EMPTY
+        } else {
+            self.pool.intern(&set)
+        };
+        self.scratch = set;
+        r
     }
 
-    /// Evaluates `v` from its full source list (the recompute equation).
-    fn eval_var(&self, v: VarId) -> PtsSet {
-        let mut new = PtsSet::new();
+    /// Evaluates `v` from its full source list into `new` (the recompute
+    /// equation).
+    fn eval_var(&self, v: VarId, new: &mut PtsSet) {
         for source in self.sources.row(v.index()) {
             match *source {
                 VarSource::Obj(m) => {
@@ -842,7 +861,7 @@ impl<'a> Solver<'a> {
                 VarSource::LoadAt(sid, ptr) => {
                     if let Some(node) = self.node_of(sid) {
                         for o in self.pool.get(self.pt_vars[ptr.index()]).iter() {
-                            self.union_pt_in(node, o, &mut new);
+                            self.union_pt_in(node, o, new);
                         }
                     }
                 }
@@ -853,7 +872,6 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        new
     }
 
     /// The phase of a store pointer's current points-to set.
@@ -888,9 +906,8 @@ impl<'a> Solver<'a> {
     /// list. Growth degrades gracefully to a delta forward; a non-monotone
     /// replacement cascades recomputes downstream.
     fn recompute_var(&mut self, v: VarId) {
-        let new = self.eval_var(v);
+        let new = self.intern_built(|s, set| s.eval_var(v, set));
         let cur = self.pt_vars[v.index()];
-        let new = self.pool.intern(new);
         if new == cur {
             return;
         }
@@ -938,11 +955,12 @@ impl<'a> Solver<'a> {
                     if self.trace_explain {
                         self.trace_vars(t, v, self.pool.get(fresh), Some(field));
                     }
-                    let objects = self.pre.objects();
-                    let fields = (self.pool.get(fresh).iter())
-                        .map(|o| objects.field_existing(o, field))
-                        .collect();
-                    let fields = self.pool.intern(fields);
+                    let fields = self.intern_built(|s, set| {
+                        let objects = s.pre.objects();
+                        for o in s.pool.get(fresh).iter() {
+                            set.insert(objects.field_existing(o, field));
+                        }
+                    });
                     self.pend_var(t, fields);
                 }
                 VarDep::LoadPtr(sid, dst) => {
@@ -950,15 +968,17 @@ impl<'a> Solver<'a> {
                     // full reaching definitions once; later growth arrives
                     // through the (now open) forward gate.
                     if let Some(node) = self.node_of(sid) {
-                        let mut add = PtsSet::new();
-                        for o in self.pool.get(fresh).iter() {
-                            if self.trace_explain {
+                        if self.trace_explain {
+                            for o in self.pool.get(fresh).iter() {
                                 self.trace_defs(true, dst.index() as u64, node, o, "load");
                             }
-                            self.union_pt_in(node, o, &mut add);
                         }
-                        if !add.is_empty() {
-                            let add = self.pool.intern(add);
+                        let add = self.intern_built(|s, set| {
+                            for o in s.pool.get(fresh).iter() {
+                                s.union_pt_in(node, o, set);
+                            }
+                        });
+                        if add != PtsRef::EMPTY {
                             self.pend_var(dst, add);
                         }
                     }
@@ -1042,9 +1062,8 @@ impl<'a> Solver<'a> {
                     if self.trace_explain {
                         self.trace_defs(false, n as u64, n, prev, "merge");
                     }
-                    let add = self.pt_in(n, prev);
-                    if !add.is_empty() {
-                        let add = self.pool.intern(add);
+                    let add = self.intern_built(|s, set| s.union_pt_in(n, prev, set));
+                    if add != PtsRef::EMPTY {
                         self.pend_slot(k, add);
                     }
                 }
@@ -1117,7 +1136,7 @@ impl<'a> Solver<'a> {
         let n = self.slots.node[k] as usize;
         let o = self.slots.obj.items[k];
         let out = match self.slots.kind[k] {
-            SlotKind::Merge => self.pt_in(n, o),
+            SlotKind::Merge => self.intern_built(|s, set| s.union_pt_in(n, o, set)),
             SlotKind::Store { ptr, val } => {
                 let (written, strong) = {
                     let ptr_set = self.pool.get(self.pt_vars[ptr.index()]);
@@ -1129,16 +1148,20 @@ impl<'a> Solver<'a> {
                     )
                 };
                 if written && strong {
-                    // kill(s, p) = {o}: the old contents die.
+                    // kill(s, p) = {o}: the old contents die, and the
+                    // output is pt(val) itself.
                     self.stats.strong_updates += 1;
-                    self.pool.get(self.pt_vars[val.index()]).clone()
+                    self.pt_vars[val.index()]
                 } else {
-                    let mut out = self.pt_in(n, o);
                     if written {
                         self.stats.weak_updates += 1;
-                        out.union_in_place(self.pool.get(self.pt_vars[val.index()]));
                     }
-                    out
+                    self.intern_built(|s, set| {
+                        s.union_pt_in(n, o, set);
+                        if written {
+                            set.union_in_place(s.pool.get(s.pt_vars[val.index()]));
+                        }
+                    })
                 }
             }
         };
@@ -1150,9 +1173,8 @@ impl<'a> Solver<'a> {
 
     /// Replaces a slot's output; growth forwards a delta, a non-monotone
     /// replacement cascades recomputes.
-    fn replace_slot(&mut self, k: usize, new: PtsSet) {
+    fn replace_slot(&mut self, k: usize, new: PtsRef) {
         let cur = self.slot_out[k];
-        let new = self.pool.intern(new);
         if new == cur {
             return;
         }
@@ -1295,20 +1317,16 @@ impl<'a> Solver<'a> {
             rec.counter(self.trace_span, "pool.sets", self.pool.set_count() as u64);
         }
 
-        // Compact: rebuild the pool from the live handles only, dropping
-        // every intermediate set the fixpoint iteration interned.
-        let mut live = PtsPool::new();
-        let mut memo: Vec<Option<PtsRef>> = vec![None; self.pool.set_count()];
-        let pool = &self.pool;
-        let mut remap =
-            |r: PtsRef| *memo[r.index()].get_or_insert_with(|| live.intern(pool.get(r).clone()));
-        let pt_vars: Vec<PtsRef> = self.pt_vars.iter().map(|&r| remap(r)).collect();
-        let slot_out: Vec<PtsRef> = self.slot_out.iter().map(|&r| remap(r)).collect();
+        // Compact: keep only the live values, moved and renumbered in
+        // first-use order, dropping every intermediate set the fixpoint
+        // iteration interned and freezing the pool.
+        self.pool
+            .retain(&mut [&mut self.pt_vars[..], &mut self.slot_out[..]]);
         SparseResult {
-            pool: live,
-            pt_vars,
+            pool: self.pool,
+            pt_vars: self.pt_vars,
             slots: self.slots.obj.clone(),
-            slot_out,
+            slot_out: self.slot_out,
             stats: self.stats,
         }
     }

@@ -5,7 +5,11 @@
 //! freshly derived delta. Identical sets — and pointer analyses produce
 //! *many* identical sets — are stored once; updating a binding is a
 //! copy-on-write: the new value is interned and the 4-byte handle swapped.
-//! Two operations work on handles alone:
+//! [`PtsPool::intern`] takes a borrowed set, so a caller builds in a
+//! scratch set it reuses, and the pool copies the set only when it is not
+//! interned yet, in its canonical representation at exact capacity: at
+//! most 16 members as the sorted vector, more as a bitmap without
+//! trailing zero words. Two operations work on handles alone:
 //!
 //! * [`PtsPool::union`] is memoized on the handle pair, and answers at
 //!   once for equal handles and [`PtsRef::EMPTY`], so accumulating a delta
@@ -15,26 +19,37 @@
 //!   returns the grown set's handle together with a handle to exactly the
 //!   new bits, so downstream edges carry only the difference. When the
 //!   delta is disjoint from the set it grows, the new bits are the delta
-//!   itself.
+//!   itself; otherwise they are built in a scratch set the pool owns.
+//!
+//! A pool that nothing interns into any more is *frozen*
+//! ([`PtsPool::freeze`], and [`PtsPool::retain`], which compacts a solve's
+//! pool down to its live sets): it drops the union memo, the hash cache,
+//! the index and the scratch set, and holds its sets alone. Interning into
+//! a frozen pool rebuilds the hash cache and the index first, so the API
+//! stays total.
 //!
 //! Byte accounting stays exact for the Table 2 memory column:
 //! [`PtsPool::heap_bytes`] sums the interned sets' heap storage plus the
-//! arena, hash cache, index and memo overhead.
+//! arena and whatever working state the pool holds — the hash cache, the
+//! index, the union memo and the scratch set, all empty once frozen.
 //!
 //! # The index hash
 //!
 //! The index is keyed on `PtsPool::hash_of`, not SipHash: the wrapping
 //! sum, over the members `m`, of output `m + 1` of a SplitMix64 stream
-//! (`mix`), passed through the hash map unchanged. The stream's seed comes
-//! from `RandomState`, since [`PtsPool::from_sets`] interns sets read from
-//! snapshot files. The hash must be *canonical* — a function of the
-//! members only, never of the representation — so a bitmap that shrank
-//! below the spill threshold interns to the same handle as the equal
-//! small-vector set. Each set's hash is computed once, when it is
-//! interned, and cached beside it. As a sum, the hash of a union is the
-//! hash of one operand plus the hash of the other's members it lacks:
-//! [`PtsPool::union`] finds an interned union before building it, without
-//! rehashing the larger operand.
+//! (`mix`). The stream's seed comes from `RandomState`, since
+//! [`PtsPool::from_sets`] interns sets read from snapshot files. The hash
+//! must be *canonical* — a function of the members only, never of the
+//! representation — so a bitmap that shrank below the spill threshold
+//! interns to the same handle as the equal small-vector set. Each set's
+//! hash is computed once, when it is interned, and cached beside it. The
+//! index is one open-addressed table of `u32` arena ids, at most half
+//! full, probed linearly from the hash's low bits; a probe compares the
+//! cached hash before it compares a set, and growing the table re-places
+//! the ids from the cached hashes without reading a set. As a sum, the
+//! hash of a union is the hash of one operand plus the hash of the
+//! other's members it lacks: [`PtsPool::union`] finds an interned union
+//! before building it, without rehashing the larger operand.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -114,19 +129,26 @@ pub struct InternStats {
     pub misses: u64,
 }
 
+/// The empty slot of the open-addressed index.
+const VACANT: u32 = u32::MAX;
+
 /// An append-only arena of deduplicated [`PtsSet`]s.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PtsPool {
     sets: Vec<PtsSet>,
     /// `hash_of` each interned set, computed once when it is interned.
     hashes: Vec<u64>,
-    /// Canonical hash → candidate arena ids (open chaining keeps the sets
-    /// stored once, in the arena only).
-    index: HashMap<u64, Vec<u32>, BuildHasherDefault<PassThrough>>,
+    /// Open-addressed table of arena ids, probed linearly from a set's
+    /// cached hash; `VACANT` marks a free slot. Its length is a power of
+    /// two at least twice the set count, or zero when the pool is frozen.
+    index: Vec<u32>,
     /// [`PtsPool::union`] results keyed on the ordered handle pair
     /// (`pair_key`). Working state: a pool rebuilt from its sets starts
     /// without it.
     memo: HashMap<u64, PtsRef, BuildHasherDefault<PairHasher>>,
+    /// Where [`PtsPool::union_delta`] builds a difference and
+    /// [`PtsPool::union`] a union before they are interned.
+    scratch: PtsSet,
     /// The random seed of `hash_of` (see the module docs).
     seed: u64,
     /// Running sum of the interned sets' own heap bytes.
@@ -136,15 +158,26 @@ pub struct PtsPool {
     intern_stats: InternStats,
 }
 
+impl Default for PtsPool {
+    fn default() -> PtsPool {
+        PtsPool::new()
+    }
+}
+
 impl PtsPool {
     /// Creates a pool with the empty set pre-interned at [`PtsRef::EMPTY`].
     pub fn new() -> PtsPool {
         let mut pool = PtsPool {
+            sets: Vec::new(),
+            hashes: Vec::new(),
+            index: Vec::new(),
+            memo: HashMap::default(),
+            scratch: PtsSet::new(),
             seed: RandomState::new().hash_one(0u64),
-            ..PtsPool::default()
+            set_bytes: 0,
+            intern_stats: InternStats::default(),
         };
-        let empty = pool.intern(PtsSet::new());
-        debug_assert_eq!(empty, PtsRef::EMPTY);
+        pool.push(0, &PtsSet::new());
         // The bootstrap intern of ∅ is construction, not workload.
         pool.intern_stats = InternStats::default();
         pool
@@ -155,10 +188,13 @@ impl PtsPool {
         set.iter().fold(0, |h, m| h.wrapping_add(mix(self.seed, m)))
     }
 
-    /// Interns `set`, returning the handle of the canonical copy.
-    pub fn intern(&mut self, set: PtsSet) -> PtsRef {
-        let h = self.hash_of(&set);
-        match self.find(h, |s| *s == set) {
+    /// Interns `set`, returning the handle of the canonical copy. The set
+    /// is copied, in its canonical representation, only when no equal set
+    /// is interned yet.
+    pub fn intern(&mut self, set: &PtsSet) -> PtsRef {
+        self.thaw();
+        let h = self.hash_of(set);
+        match self.find(h, |s| s == set) {
             Some(r) => {
                 self.intern_stats.hits += 1;
                 r
@@ -169,20 +205,113 @@ impl PtsPool {
 
     /// The interned set with hash `h` that satisfies `is`, if any.
     fn find(&self, h: u64, is: impl Fn(&PtsSet) -> bool) -> Option<PtsRef> {
-        let candidates = self.index.get(&h)?;
-        let id = candidates.iter().find(|&&id| is(&self.sets[id as usize]))?;
-        Some(PtsRef(*id))
+        let mask = self.index.len() - 1;
+        let mut at = h as usize & mask;
+        loop {
+            let id = self.index[at];
+            if id == VACANT {
+                return None;
+            }
+            if self.hashes[id as usize] == h && is(&self.sets[id as usize]) {
+                return Some(PtsRef(id));
+            }
+            at = (at + 1) & mask;
+        }
     }
 
-    /// Appends `set`, which is not interned yet, under its hash `h`.
-    fn push(&mut self, h: u64, set: PtsSet) -> PtsRef {
+    /// Appends a canonical copy of `set`, which is not interned yet, under
+    /// its hash `h`.
+    fn push(&mut self, h: u64, set: &PtsSet) -> PtsRef {
         self.intern_stats.misses += 1;
-        let id = u32::try_from(self.sets.len()).expect("points-to pool overflow");
+        let id = (u32::try_from(self.sets.len()).ok())
+            .filter(|&id| id != VACANT)
+            .expect("points-to pool overflow");
+        let set = set.compacted();
         self.set_bytes += set.heap_bytes();
         self.sets.push(set);
         self.hashes.push(h);
-        self.index.entry(h).or_default().push(id);
+        if 2 * self.sets.len() > self.index.len() {
+            self.reindex();
+        } else {
+            self.place(id);
+        }
         PtsRef(id)
+    }
+
+    /// Puts arena id `id` in the first free slot of its probe sequence.
+    fn place(&mut self, id: u32) {
+        let mask = self.index.len() - 1;
+        let mut at = self.hashes[id as usize] as usize & mask;
+        while self.index[at] != VACANT {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = id;
+    }
+
+    /// Rebuilds the index at twice the set count, rounded up to a power of
+    /// two, from the cached hashes.
+    fn reindex(&mut self) {
+        let slots = (2 * self.sets.len()).next_power_of_two().max(8);
+        self.index.clear();
+        self.index.resize(slots, VACANT);
+        for id in 0..self.sets.len() as u32 {
+            self.place(id);
+        }
+    }
+
+    /// Drops the working state that only interning needs: the union memo,
+    /// the hash cache, the index and the scratch set. A pool that nothing
+    /// interns into any more (a solve's result, a decoded snapshot) then
+    /// holds its sets alone; [`PtsPool::intern`] and [`PtsPool::union`]
+    /// rebuild what they need first, so a frozen pool still interns
+    /// canonically.
+    pub fn freeze(&mut self) {
+        self.hashes = Vec::new();
+        self.index = Vec::new();
+        self.memo = HashMap::default();
+        self.scratch = PtsSet::new();
+        self.sets.shrink_to_fit();
+    }
+
+    /// Rebuilds the hash cache and the index of a frozen pool.
+    fn thaw(&mut self) {
+        if self.index.is_empty() {
+            self.hashes = self.sets.iter().map(|s| self.hash_of(s)).collect();
+            self.reindex();
+        }
+    }
+
+    /// Keeps only the sets that `tables` refer to, renumbered densely in
+    /// the order the tables first name them (∅ stays [`PtsRef::EMPTY`]),
+    /// rewrites every handle in `tables`, and freezes the pool. The kept
+    /// sets move; none is copied.
+    pub fn retain(&mut self, tables: &mut [&mut [PtsRef]]) {
+        let mut renumber = vec![VACANT; self.sets.len()];
+        renumber[0] = 0;
+        let mut kept = 1u32;
+        for r in tables.iter_mut().flat_map(|t| t.iter_mut()) {
+            let to = &mut renumber[r.index()];
+            if *to == VACANT {
+                *to = kept;
+                kept += 1;
+            }
+            *r = PtsRef(*to);
+        }
+        let mut order = vec![0u32; kept as usize];
+        for (from, &to) in renumber.iter().enumerate() {
+            if to != VACANT {
+                order[to as usize] = from as u32;
+            }
+        }
+        let mut sets = Vec::with_capacity(kept as usize);
+        sets.extend(
+            order
+                .iter()
+                .map(|&from| std::mem::take(&mut self.sets[from as usize])),
+        );
+        self.sets = sets;
+        self.set_bytes = self.sets.iter().map(PtsSet::heap_bytes).sum();
+        self.freeze();
     }
 
     /// The set behind a handle.
@@ -227,8 +356,9 @@ impl PtsPool {
 
     /// `big ∪ small`. The union's hash is `big`'s cached hash plus the
     /// hash of `small \ big`, so an interned union is found before one is
-    /// built.
+    /// built, and a new one is built in the scratch set.
     fn union_unmemoized(&mut self, big: PtsRef, small: PtsRef) -> PtsRef {
+        self.thaw();
         let (b, s) = (&self.sets[big.index()], &self.sets[small.index()]);
         let (mut h, mut len) = (self.hashes[big.index()], b.len());
         for m in s.iter().filter(|&m| !b.contains(m)) {
@@ -242,15 +372,20 @@ impl PtsPool {
             self.intern_stats.hits += 1;
             return r;
         }
-        let mut grown = b.clone();
-        grown.union_in_place(s);
-        self.push(h, grown)
+        let mut grown = std::mem::take(&mut self.scratch);
+        grown.reset();
+        grown.union_in_place(&self.sets[big.index()]);
+        grown.union_in_place(&self.sets[small.index()]);
+        let r = self.push(h, &grown);
+        self.scratch = grown;
+        r
     }
 
     /// `a ∪ d` together with the *new bits* `d \ a`, both as handles:
     /// `(a, EMPTY)` when nothing is new, and `d` itself as the new bits
     /// when `d` and `a` are disjoint, so a delta that grows its target
-    /// whole is forwarded without building a set.
+    /// whole is forwarded without building a set. A partial overlap builds
+    /// `d \ a` in the scratch set and interns it from there.
     pub fn union_delta(&mut self, a: PtsRef, d: PtsRef) -> (PtsRef, PtsRef) {
         let (base, delta) = (&self.sets[a.index()], &self.sets[d.index()]);
         let fresh = if delta.is_subset(base) {
@@ -258,8 +393,11 @@ impl PtsPool {
         } else if !delta.intersects(base) {
             d
         } else {
-            let fresh = delta.difference(base);
-            self.intern(fresh)
+            let mut fresh = std::mem::take(&mut self.scratch);
+            delta.difference_into(base, &mut fresh);
+            let r = self.intern(&fresh);
+            self.scratch = fresh;
+            r
         };
         (self.union(a, fresh), fresh)
     }
@@ -299,7 +437,9 @@ impl PtsPool {
     /// otherwise assign a different handle than the table position, silently
     /// re-aliasing every downstream reference. Violations are reported as
     /// typed errors, never panics, so corrupted snapshots stay loadable-safe.
-    pub fn from_sets(table: impl IntoIterator<Item = PtsSet>) -> Result<PtsPool, PoolRebuildError> {
+    pub fn from_sets<'s>(
+        table: impl IntoIterator<Item = &'s PtsSet>,
+    ) -> Result<PtsPool, PoolRebuildError> {
         let mut pool = PtsPool::new();
         for (i, set) in table.into_iter().enumerate() {
             if i == 0 {
@@ -320,18 +460,14 @@ impl PtsPool {
     }
 
     /// Heap bytes held by the pool: interned set storage, the arena vector
-    /// with its hash cache, the dedup index and the union memo.
+    /// with its hash cache, the index, the union memo and the scratch set.
     pub fn heap_bytes(&self) -> usize {
         self.set_bytes
             + self.sets.capacity() * std::mem::size_of::<PtsSet>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.index.capacity() * std::mem::size_of::<(u64, Vec<u32>)>()
-            + self
-                .index
-                .values()
-                .map(|v| v.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
             + self.memo.capacity() * std::mem::size_of::<(u64, PtsRef)>()
+            + self.scratch.heap_bytes()
     }
 }
 
@@ -354,23 +490,6 @@ fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A [`Hasher`] that passes the index's `u64` keys through: they are
-/// already [`PtsPool::hash_of`] values.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the pool index hashes only u64 keys")
-    }
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
 }
 
 /// A [`Hasher`] for the union memo's packed handle pairs (`pair_key`),
@@ -406,7 +525,7 @@ mod tests {
     #[test]
     fn empty_is_preinterned() {
         let mut pool = PtsPool::new();
-        assert_eq!(pool.intern(PtsSet::new()), PtsRef::EMPTY);
+        assert_eq!(pool.intern(&PtsSet::new()), PtsRef::EMPTY);
         assert!(pool.get(PtsRef::EMPTY).is_empty());
         assert_eq!(pool.set_count(), 1);
     }
@@ -414,11 +533,11 @@ mod tests {
     #[test]
     fn interning_deduplicates() {
         let mut pool = PtsPool::new();
-        let a = pool.intern([m(1), m(2)].into_iter().collect());
-        let b = pool.intern([m(2), m(1)].into_iter().collect());
+        let a = pool.intern(&[m(1), m(2)].into_iter().collect());
+        let b = pool.intern(&[m(2), m(1)].into_iter().collect());
         assert_eq!(a, b);
         assert_eq!(pool.set_count(), 2);
-        let c = pool.intern([m(1), m(3)].into_iter().collect());
+        let c = pool.intern(&[m(1), m(3)].into_iter().collect());
         assert_ne!(a, c);
     }
 
@@ -435,16 +554,16 @@ mod tests {
             bitmap.remove(m(i));
         }
         let small: PtsSet = (0..4).map(m).collect();
-        let a = pool.intern(small);
-        let b = pool.intern(bitmap);
+        let a = pool.intern(&small);
+        let b = pool.intern(&bitmap);
         assert_eq!(a, b);
     }
 
     #[test]
     fn union_delta_returns_only_new_bits() {
         let mut pool = PtsPool::new();
-        let a = pool.intern([m(1), m(2)].into_iter().collect());
-        let d = pool.intern([m(2), m(3), m(4)].into_iter().collect());
+        let a = pool.intern(&[m(1), m(2)].into_iter().collect());
+        let d = pool.intern(&[m(2), m(3), m(4)].into_iter().collect());
         let (grown, fresh) = pool.union_delta(a, d);
         assert_eq!(
             pool.get(grown),
@@ -454,7 +573,7 @@ mod tests {
         // Idempotent: no new bits, handle unchanged.
         assert_eq!(pool.union_delta(grown, d), (grown, PtsRef::EMPTY));
         // A disjoint delta is its own new bits.
-        let e = pool.intern([m(7)].into_iter().collect());
+        let e = pool.intern(&[m(7)].into_iter().collect());
         assert_eq!(pool.union_delta(a, e).1, e);
         // The original handle still maps to the original set (immutability).
         assert_eq!(pool.len_of(a), 2);
@@ -463,7 +582,7 @@ mod tests {
     #[test]
     fn union_answers_trivial_pairs_without_the_memo() {
         let mut pool = PtsPool::new();
-        let a = pool.intern([m(1), m(2)].into_iter().collect());
+        let a = pool.intern(&[m(1), m(2)].into_iter().collect());
         let stats = pool.intern_stats();
         assert_eq!(pool.union(a, a), a);
         assert_eq!(pool.union(a, PtsRef::EMPTY), a);
@@ -475,9 +594,9 @@ mod tests {
     #[test]
     fn rebuild_from_sets_preserves_handles() {
         let mut pool = PtsPool::new();
-        let a = pool.intern([m(1), m(2)].into_iter().collect());
-        let b = pool.intern((0..40).map(m).collect());
-        let rebuilt = PtsPool::from_sets(pool.sets().cloned()).unwrap();
+        let a = pool.intern(&[m(1), m(2)].into_iter().collect());
+        let b = pool.intern(&(0..40).map(m).collect());
+        let rebuilt = PtsPool::from_sets(pool.sets()).unwrap();
         assert_eq!(rebuilt.set_count(), pool.set_count());
         for r in [PtsRef::EMPTY, a, b] {
             assert_eq!(rebuilt.handle(r.index()), Some(r));
@@ -487,18 +606,18 @@ mod tests {
         // The rebuilt pool keeps hash-consing: re-interning lands on the
         // original handles.
         let mut rebuilt = rebuilt;
-        assert_eq!(rebuilt.intern([m(1), m(2)].into_iter().collect()), a);
+        assert_eq!(rebuilt.intern(&[m(1), m(2)].into_iter().collect()), a);
     }
 
     #[test]
     fn rebuild_rejects_bad_tables() {
         let one: PtsSet = [m(1)].into_iter().collect();
         assert_eq!(
-            PtsPool::from_sets([one.clone()]).unwrap_err(),
+            PtsPool::from_sets([&one]).unwrap_err(),
             PoolRebuildError::FirstNotEmpty
         );
         assert_eq!(
-            PtsPool::from_sets([PtsSet::new(), one.clone(), one.clone()]).unwrap_err(),
+            PtsPool::from_sets([&PtsSet::new(), &one, &one]).unwrap_err(),
             PoolRebuildError::Duplicate {
                 index: 2,
                 canonical: 1
@@ -518,9 +637,9 @@ mod tests {
     fn intern_stats_count_hits_and_misses() {
         let mut pool = PtsPool::new();
         assert_eq!(pool.intern_stats(), InternStats::default());
-        pool.intern([m(1)].into_iter().collect()); // miss
-        pool.intern([m(1)].into_iter().collect()); // hit
-        pool.intern(PtsSet::new()); // hit (pre-interned empty)
+        pool.intern(&[m(1)].into_iter().collect()); // miss
+        pool.intern(&[m(1)].into_iter().collect()); // hit
+        pool.intern(&PtsSet::new()); // hit (pre-interned empty)
         assert_eq!(pool.intern_stats(), InternStats { hits: 2, misses: 1 });
     }
 
@@ -528,7 +647,7 @@ mod tests {
     fn heap_bytes_grows_with_contents() {
         let mut pool = PtsPool::new();
         let before = pool.heap_bytes();
-        pool.intern((0..500).map(m).collect());
+        pool.intern(&(0..500).map(m).collect());
         assert!(pool.heap_bytes() > before);
     }
 
@@ -578,22 +697,22 @@ mod tests {
         model.insert(BTreeSet::new(), PtsRef::EMPTY);
         for _ in 0..2_000 {
             let ids = random_ids(&mut rng);
-            let r = pool.intern(build(&mut rng, &ids));
+            let r = pool.intern(&build(&mut rng, &ids));
             assert_eq!(*model.entry(ids.clone()).or_insert(r), r, "{ids:?}");
-            assert_eq!(pool.intern(build(&mut rng, &ids)), r, "{ids:?}");
+            assert_eq!(pool.intern(&build(&mut rng, &ids)), r, "{ids:?}");
 
             let a = *model.values().nth(rng.gen_range(0..model.len())).unwrap();
             let d_ids = random_ids(&mut rng);
             let a_ids = as_ids(pool.get(a));
-            let d = pool.intern(build(&mut rng, &d_ids));
+            let d = pool.intern(&build(&mut rng, &d_ids));
             model.entry(d_ids.clone()).or_insert(d);
             let (u, fresh) = pool.union_delta(a, d);
             let u_ids: BTreeSet<u32> = a_ids.union(&d_ids).copied().collect();
             let fresh_ids: BTreeSet<u32> = d_ids.difference(&a_ids).copied().collect();
             assert_eq!(as_ids(pool.get(u)), u_ids);
-            assert_eq!(pool.intern(build(&mut rng, &u_ids)), u);
+            assert_eq!(pool.intern(&build(&mut rng, &u_ids)), u);
             assert_eq!(as_ids(pool.get(fresh)), fresh_ids);
-            assert_eq!(pool.intern(build(&mut rng, &fresh_ids)), fresh);
+            assert_eq!(pool.intern(&build(&mut rng, &fresh_ids)), fresh);
             if fresh == PtsRef::EMPTY {
                 assert_eq!(u, a);
             }
@@ -601,11 +720,11 @@ mod tests {
             assert_eq!(*model.entry(fresh_ids).or_insert(fresh), fresh);
         }
         assert_eq!(pool.set_count(), model.len());
-        let mut rebuilt = PtsPool::from_sets(pool.sets().cloned()).unwrap();
+        let mut rebuilt = PtsPool::from_sets(pool.sets()).unwrap();
         for (ids, &r) in &model {
             assert_eq!(rebuilt.handle(r.index()), Some(r));
             assert_eq!(as_ids(rebuilt.get(r)), *ids);
-            assert_eq!(rebuilt.intern(build(&mut rng, ids)), r);
+            assert_eq!(rebuilt.intern(&build(&mut rng, ids)), r);
         }
         assert_eq!(rebuilt.set_count(), pool.set_count());
     }
@@ -656,14 +775,14 @@ mod tests {
         let mut cases = BTreeMap::new();
         for _ in 0..2_000 {
             let a_ids = random_ids(&mut rng);
-            let a = pool.intern(build(&mut rng, &a_ids));
+            let a = pool.intern(&build(&mut rng, &a_ids));
             let b = handles[rng.gen_range(0..handles.len())];
             let b_ids = as_ids(pool.get(b));
 
             let u = pool.union(a, b);
             let u_ids: BTreeSet<u32> = a_ids.union(&b_ids).copied().collect();
             assert_eq!(as_ids(pool.get(u)), u_ids);
-            assert_eq!(pool.intern(build(&mut rng, &u_ids)), u);
+            assert_eq!(pool.intern(&build(&mut rng, &u_ids)), u);
             assert_eq!(pool.union(b, a), u);
             let (count, stats) = (pool.set_count(), pool.intern_stats());
             assert_eq!(pool.union(a, b), u);
@@ -683,7 +802,7 @@ mod tests {
                 case => case,
             };
             let d_ids = related_ids(&mut rng, &a_ids, case);
-            let d = pool.intern(build(&mut rng, &d_ids));
+            let d = pool.intern(&build(&mut rng, &d_ids));
             let (grown, fresh) = pool.union_delta(a, d);
             let fresh_ids: BTreeSet<u32> = d_ids.difference(&a_ids).copied().collect();
             let grown_ids: BTreeSet<u32> = a_ids.union(&d_ids).copied().collect();
@@ -693,17 +812,17 @@ mod tests {
             match case {
                 Overlap::Empty | Overlap::Subset => assert_eq!((grown, fresh), (a, PtsRef::EMPTY)),
                 Overlap::Disjoint => assert_eq!(fresh, d),
-                Overlap::Partial => assert_eq!(fresh, pool.intern(build(&mut rng, &fresh_ids))),
+                Overlap::Partial => assert_eq!(fresh, pool.intern(&build(&mut rng, &fresh_ids))),
             }
             *cases.entry(case).or_insert(0) += 1;
             handles.extend([a, u, d, grown, fresh]);
         }
         assert!(cases.values().all(|&n| n >= 300), "{cases:?}");
 
-        let mut rebuilt = PtsPool::from_sets(pool.sets().cloned()).unwrap();
+        let mut rebuilt = PtsPool::from_sets(pool.sets()).unwrap();
         for r in (0..pool.set_count()).map(|i| pool.handle(i).unwrap()) {
             assert_eq!(rebuilt.hashes[r.index()], rebuilt.hash_of(pool.get(r)));
-            assert_eq!(rebuilt.intern(build(&mut rng, &as_ids(pool.get(r)))), r);
+            assert_eq!(rebuilt.intern(&build(&mut rng, &as_ids(pool.get(r)))), r);
         }
         for _ in 0..2_000 {
             let a = handles[rng.gen_range(0..handles.len())];
@@ -714,10 +833,137 @@ mod tests {
                 .collect();
             let u = rebuilt.union(a, b);
             assert_eq!(as_ids(rebuilt.get(u)), u_ids);
-            assert_eq!(rebuilt.intern(build(&mut rng, &u_ids)), u);
+            assert_eq!(rebuilt.intern(&build(&mut rng, &u_ids)), u);
             if u.index() < pool.set_count() {
                 assert_eq!(u, pool.union(a, b));
             }
         }
+    }
+
+    /// The heap bytes of `ids` stored canonically: the sorted vector at
+    /// exact capacity up to `SMALL_MAX` members, past it the bitmap up to
+    /// the word of the largest member.
+    fn canonical_bytes(ids: &BTreeSet<u32>) -> usize {
+        match ids.iter().next_back() {
+            Some(&max) if ids.len() > SMALL_MAX => 8 * (max as usize / 64 + 1),
+            _ => 4 * ids.len(),
+        }
+    }
+
+    /// Seeded properties of the borrowed intern path: a scratch set reused
+    /// from build to build (reset, never dropped, so once spilled it stays
+    /// a bitmap even when it holds `SMALL_MAX` members or fewer) interns to
+    /// the handle of the same members built fresh, and the pool stores a
+    /// canonical copy at exact capacity; `union_delta`'s scratch difference
+    /// is the handle of `d \ a` built fresh; the index keeps every handle
+    /// through many doublings; and a frozen pool interns canonically.
+    #[test]
+    fn interning_properties_of_borrowed_scratch_sets() {
+        let mut rng = SmallRng::seed_from_u64(0xb0b0);
+        let mut pool = PtsPool::new();
+        let mut scratch = PtsSet::new();
+        let mut model: BTreeMap<BTreeSet<u32>, PtsRef> = BTreeMap::new();
+        model.insert(BTreeSet::new(), PtsRef::EMPTY);
+        let (mut spilled_small, mut doublings, mut slots) = (0, 0, pool.index.len());
+        for round in 0..6_000 {
+            // Early rounds keep the scratch small; later ones spill it.
+            let ids = if round % 3 == 0 && round > 100 {
+                (0..rng.gen_range(0..4 * SMALL_MAX))
+                    .map(|_| rng.gen_range(0u32..600))
+                    .collect()
+            } else {
+                random_ids(&mut rng)
+            };
+            scratch.reset();
+            scratch.extend(ids.iter().copied().map(m));
+            if scratch.is_bitmap() && ids.len() <= SMALL_MAX {
+                spilled_small += 1;
+            }
+            let bytes = pool.heap_bytes();
+            let r = pool.intern(&scratch);
+            let fresh: PtsSet = ids.iter().copied().map(m).collect();
+            assert_eq!(pool.intern(&fresh), r, "{ids:?}");
+            assert_eq!(*model.entry(ids.clone()).or_insert(r), r, "{ids:?}");
+            assert_eq!(as_ids(pool.get(r)), ids);
+            assert_eq!(pool.get(r).heap_bytes(), canonical_bytes(&ids), "{ids:?}");
+            if pool.index.len() != slots {
+                doublings += 1;
+                slots = pool.index.len();
+            } else if r.index() + 1 == pool.set_count() && model.len() == pool.set_count() {
+                // A miss grows the pool by exactly the canonical copy.
+                let grown = pool.heap_bytes() - bytes;
+                assert!(grown >= canonical_bytes(&ids), "{ids:?}");
+            }
+            assert!(pool.index.len().is_power_of_two());
+            assert!(pool.index.len() >= 2 * pool.set_count());
+
+            let a = *model.values().nth(rng.gen_range(0..model.len())).unwrap();
+            let a_ids = as_ids(pool.get(a));
+            let (_, fresh) = pool.union_delta(a, r);
+            let d_minus_a: BTreeSet<u32> = ids.difference(&a_ids).copied().collect();
+            let built: PtsSet = d_minus_a.iter().copied().map(m).collect();
+            assert_eq!(pool.intern(&built), fresh);
+            assert_eq!(pool.get(fresh).heap_bytes(), canonical_bytes(&d_minus_a));
+            model.entry(d_minus_a).or_insert(fresh);
+            let u = pool.union(a, r);
+            model.entry(as_ids(pool.get(u))).or_insert(u);
+        }
+        assert!(
+            spilled_small >= 300,
+            "{spilled_small} small builds in a bitmap"
+        );
+        assert!(doublings >= 5, "{doublings} index doublings");
+        assert_eq!(pool.set_count(), model.len());
+
+        // Frozen: the working state is gone, the sets and handles stay, and
+        // interning rebuilds the index first.
+        let count = pool.set_count();
+        pool.freeze();
+        assert!(pool.index.is_empty() && pool.hashes.is_empty() && pool.memo.is_empty());
+        assert_eq!(
+            pool.heap_bytes(),
+            pool.set_bytes + pool.sets.capacity() * std::mem::size_of::<PtsSet>()
+        );
+        for (ids, &r) in model.iter().take(500) {
+            scratch.reset();
+            scratch.extend(ids.iter().copied().map(m));
+            assert_eq!(pool.intern(&scratch), r, "{ids:?}");
+        }
+        assert_eq!(pool.set_count(), count);
+        let new: BTreeSet<u32> = (600..640).collect();
+        let r = pool.intern(&new.iter().copied().map(m).collect());
+        assert_eq!((r.index(), as_ids(pool.get(r))), (count, new));
+        let mut frozen = PtsPool::from_sets(pool.sets()).unwrap();
+        frozen.freeze();
+        let (a, b) = (*model.values().nth(model.len() / 2).unwrap(), r);
+        let u = frozen.union(a, b);
+        assert_eq!(u, pool.union(a, b));
+    }
+
+    /// `retain` keeps the sets the tables name, renumbered in first-use
+    /// order with ∅ first, moves them, rewrites the tables and freezes.
+    #[test]
+    fn retain_renumbers_in_first_use_order_and_freezes() {
+        let mut pool = PtsPool::new();
+        let sets: Vec<PtsSet> = (0..6u32).map(|i| (i..i + 3 * i).map(m).collect()).collect();
+        let h: Vec<PtsRef> = sets.iter().map(|s| pool.intern(s)).collect();
+        let mut vars = [h[4], PtsRef::EMPTY, h[2], h[4]];
+        let mut slots = [h[5], h[2]];
+        pool.retain(&mut [&mut vars[..], &mut slots[..]]);
+        assert_eq!(pool.set_count(), 4);
+        assert!(pool.index.is_empty() && pool.hashes.is_empty());
+        assert_eq!(
+            vars.iter().map(|r| r.index()).collect::<Vec<_>>(),
+            [1, 0, 2, 1]
+        );
+        assert_eq!(slots.iter().map(|r| r.index()).collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(pool.get(vars[0]), &sets[4]);
+        assert_eq!(pool.get(vars[2]), &sets[2]);
+        assert_eq!(pool.get(slots[0]), &sets[5]);
+        assert_eq!(
+            pool.set_bytes,
+            pool.sets().map(PtsSet::heap_bytes).sum::<usize>()
+        );
+        assert_eq!(pool.intern(&sets[5]), slots[0]);
     }
 }

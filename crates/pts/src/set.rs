@@ -239,35 +239,81 @@ impl PtsSet {
         if other.is_empty() {
             return self.clone();
         }
-        match (&self.repr, &other.repr) {
-            (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) => {
-                let mut words: Vec<u64> = a
-                    .iter()
+        let mut out = PtsSet::new();
+        self.difference_into(other, &mut out);
+        if out.is_empty() {
+            PtsSet::new()
+        } else {
+            out
+        }
+    }
+
+    /// Writes `self \ other` into `out`, reusing its storage: a bitmap
+    /// difference of two bitmaps, word by word and without trailing zero
+    /// words, and otherwise the members one by one into `out` as it is.
+    pub fn difference_into(&self, other: &PtsSet, out: &mut PtsSet) {
+        if let (Repr::Bits { words: a, .. }, Repr::Bits { words: b, .. }) =
+            (&self.repr, &other.repr)
+        {
+            let mut words = match std::mem::replace(&mut out.repr, Repr::Small(Vec::new())) {
+                Repr::Bits { words, .. } => words,
+                Repr::Small(_) => Vec::new(),
+            };
+            words.clear();
+            words.extend(
+                a.iter()
                     .enumerate()
-                    .map(|(i, &w)| w & !b.get(i).copied().unwrap_or(0))
-                    .collect();
-                while words.last() == Some(&0) {
-                    words.pop();
-                }
-                let len = words.iter().map(|w| w.count_ones() as usize).sum();
-                if len == 0 {
-                    PtsSet::new()
-                } else {
-                    PtsSet {
-                        repr: Repr::Bits { words, len },
-                    }
+                    .map(|(i, &w)| w & !b.get(i).copied().unwrap_or(0)),
+            );
+            while words.last() == Some(&0) {
+                words.pop();
+            }
+            let len = words.iter().map(|w| w.count_ones() as usize).sum();
+            out.repr = Repr::Bits { words, len };
+            return;
+        }
+        out.reset();
+        for m in self.iter() {
+            if !other.contains(m) {
+                out.insert(m);
+            }
+        }
+    }
+
+    /// Removes every member but keeps the storage and its representation,
+    /// so a scratch set reused from build to build does not reallocate (a
+    /// spilled scratch stays a bitmap, whatever it holds).
+    pub fn reset(&mut self) {
+        match &mut self.repr {
+            Repr::Small(v) => v.clear(),
+            Repr::Bits { words, len } => {
+                words.clear();
+                *len = 0;
+            }
+        }
+    }
+
+    /// A copy in the canonical representation, at exact capacity: at most
+    /// `SMALL_MAX` members as the sorted vector, more as a bitmap without
+    /// trailing zero words, whatever the representation of `self` (a
+    /// vector never holds more than `SMALL_MAX`: `insert` spills it).
+    pub fn compacted(&self) -> PtsSet {
+        let len = self.len();
+        let repr = match &self.repr {
+            Repr::Bits { words, .. } if len > SMALL_MAX => {
+                let used = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+                Repr::Bits {
+                    words: words[..used].to_vec(),
+                    len,
                 }
             }
             _ => {
-                let mut out = PtsSet::new();
-                for m in self.iter() {
-                    if !other.contains(m) {
-                        out.insert(m);
-                    }
-                }
-                out
+                let mut v = Vec::with_capacity(len);
+                v.extend(self.iter().map(MemId::raw));
+                Repr::Small(v)
             }
-        }
+        };
+        PtsSet { repr }
     }
 
     /// Drops a bitmap of at most `SMALL_MAX` members to the sorted vector,
@@ -320,6 +366,12 @@ impl PtsSet {
             Repr::Small(v) => v.capacity() * std::mem::size_of::<u32>(),
             Repr::Bits { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
         }
+    }
+
+    /// Whether the set is in the bitmap representation.
+    #[cfg(test)]
+    pub(crate) fn is_bitmap(&self) -> bool {
+        matches!(self.repr, Repr::Bits { .. })
     }
 
     fn spill(&mut self) {
@@ -557,6 +609,51 @@ mod tests {
         let mut d = big.difference(&(17..40).map(m).collect());
         d.compact();
         assert!(matches!(d.repr, Repr::Bits { len: 17, .. }));
+    }
+
+    /// A scratch set keeps its storage across `reset`, `difference_into`
+    /// matches `difference` in it, and `compacted` copies into the
+    /// canonical representation at exact capacity.
+    #[test]
+    fn scratch_operations_reuse_storage_and_compact() {
+        let big: PtsSet = (0..200).map(m).collect();
+        let mut scratch = PtsSet::new();
+        big.difference_into(&(100..300).map(m).collect(), &mut scratch);
+        assert_eq!(scratch, (0..100).map(m).collect());
+        let bytes = scratch.heap_bytes();
+        scratch.reset();
+        assert!(scratch.is_empty() && scratch.is_bitmap());
+        assert_eq!(scratch.heap_bytes(), bytes);
+        let few: PtsSet = [m(3), m(150)].into_iter().collect();
+        few.difference_into(&big, &mut scratch);
+        assert_eq!(scratch, PtsSet::new());
+        big.difference_into(&few, &mut scratch);
+        assert_eq!(scratch, big.difference(&few));
+        (0..20)
+            .map(m)
+            .collect::<PtsSet>()
+            .difference_into(&few, &mut scratch);
+        assert_eq!(scratch, (0..20).filter(|&i| i != 3).map(m).collect());
+        assert!(scratch.is_bitmap());
+
+        let copy = scratch.compacted();
+        assert_eq!(copy, scratch);
+        assert!(copy.is_bitmap());
+        assert_eq!(copy.heap_bytes(), 8);
+        scratch.reset();
+        scratch.extend([m(5), m(900)]);
+        let copy = scratch.compacted();
+        assert!(!copy.is_bitmap());
+        assert_eq!(
+            (copy.heap_bytes(), copy),
+            (8, [m(5), m(900)].into_iter().collect())
+        );
+        let wide: PtsSet = (0..17).map(|i| m(64 * i)).collect();
+        let mut trailing = wide.clone();
+        trailing.insert(m(5_000));
+        trailing.remove(m(5_000));
+        assert_eq!(trailing.compacted().heap_bytes(), 8 * 17);
+        assert_eq!(PtsSet::new().compacted().heap_bytes(), 0);
     }
 
     #[test]

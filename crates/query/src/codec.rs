@@ -1,7 +1,7 @@
 //! The snapshot wire codec: bounds-checked little-endian primitives.
 //!
 //! [`Writer`] appends fixed-width integers, length-prefixed strings and
-//! `u32` slices to a growable buffer; [`Reader`] consumes the same layout
+//! `u32` tables to a buffer, growable or sized up front; [`Reader`] consumes the same layout
 //! with every read bounds-checked — a malformed or truncated buffer surfaces
 //! as a [`CodecError`], never a panic or an out-of-bounds slice. Count
 //! prefixes are validated against the bytes actually remaining
@@ -78,6 +78,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer whose buffer holds `bytes` bytes before it
+    /// grows: one allocation for an encoding whose size is known.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -93,15 +101,21 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` count followed by the raw values.
+    /// Appends a `u32` count followed by the raw values, read straight
+    /// from `vs` with no intermediate table.
     ///
     /// # Panics
     ///
-    /// Panics if the slice holds more than `u32::MAX` values (snapshot
-    /// tables are `u32`-indexed throughout).
-    pub fn put_u32s(&mut self, vs: &[u32]) {
+    /// Panics if `vs` yields more than `u32::MAX` values (snapshot tables
+    /// are `u32`-indexed throughout).
+    pub fn put_u32s<I>(&mut self, vs: I)
+    where
+        I: IntoIterator<Item = u32>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vs = vs.into_iter();
         self.put_u32(u32::try_from(vs.len()).expect("table too large for snapshot"));
-        for &v in vs {
+        for v in vs {
             self.put_u32(v);
         }
     }
@@ -231,7 +245,7 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
-        w.put_u32s(&[1, 2, 3]);
+        w.put_u32s([1, 2, 3]);
         w.put_str("héllo");
         let buf = w.finish();
         let mut r = Reader::new(&buf);
@@ -246,7 +260,7 @@ mod tests {
     #[test]
     fn truncation_is_an_error_at_every_prefix() {
         let mut w = Writer::new();
-        w.put_u32s(&[10, 20, 30]);
+        w.put_u32s([10, 20, 30]);
         w.put_str("tail");
         let buf = w.finish();
         for len in 0..buf.len() {

@@ -46,8 +46,9 @@ use std::path::Path;
 
 use fsam::solver::SolverStats;
 use fsam::{Fsam, SparseResult};
+use fsam_ir::csr::Csr;
 use fsam_ir::{Module, VarId};
-use fsam_pts::{MemId, PtsPool, PtsSet};
+use fsam_pts::{MemId, PtsPool, PtsRef, PtsSet};
 use fsam_threads::hb::HbFacts;
 use fsam_threads::{MhpRelation, RegionRelation};
 
@@ -55,6 +56,9 @@ use crate::codec::{fnv1a, CodecError, Reader, Writer};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FSAMQDB\0";
+
+/// Header bytes: magic 8, version 4, payload length 8, checksum 8.
+const HEADER: usize = 28;
 
 /// The format version this build reads and writes. Version 3 stores MHP as
 /// its region relation, in the same encoding as the happens-before section
@@ -143,9 +147,10 @@ pub struct AnalysisDb {
     var_names: Vec<(String, String)>,
     /// Display name per [`MemId::index`].
     obj_names: Vec<String>,
-    /// Derived reverse index: object index → variables whose flow-sensitive
-    /// points-to set contains it, ascending. Rebuilt on load, never stored.
-    aliased_by: Vec<Vec<VarId>>,
+    /// Derived reverse index: row `o` holds the variables whose
+    /// flow-sensitive points-to set contains object `o`, ascending. Rebuilt
+    /// on load, never stored.
+    aliased_by: Csr<VarId>,
 }
 
 impl PartialEq for AnalysisDb {
@@ -186,13 +191,7 @@ impl AnalysisDb {
                 }
             }
         }
-        let mut aliased_by: Vec<Vec<VarId>> = vec![Vec::new(); obj_names.len()];
-        for (i, &r) in result.var_handles().iter().enumerate() {
-            let v = VarId::from_usize(i);
-            for m in result.pool().get(r).iter() {
-                aliased_by[m.index()].push(v);
-            }
-        }
+        let aliased_by = reverse_index(&result, obj_names.len());
         Ok(AnalysisDb {
             result,
             mhp,
@@ -208,11 +207,9 @@ impl AnalysisDb {
     /// relations come from the run itself.
     pub fn capture(module: &Module, fsam: &Fsam) -> AnalysisDb {
         let src = &fsam.result;
-        let pool = PtsPool::from_sets(src.pool().sets().cloned())
-            .expect("a live pool is canonical by construction");
         let (slot_base, slot_obj, slot_out) = src.slot_tables();
         let result = SparseResult::from_tables(
-            pool,
+            src.pool().clone(),
             src.var_handles().to_vec(),
             slot_base.to_vec(),
             slot_obj.to_vec(),
@@ -270,7 +267,11 @@ impl AnalysisDb {
     /// Variables whose points-to set contains `o`, ascending (the reverse
     /// index behind `aliases_of`). Empty for out-of-range objects.
     pub fn aliased_by(&self, o: MemId) -> &[VarId] {
-        self.aliased_by.get(o.index()).map_or(&[], Vec::as_slice)
+        if o.index() + 1 < self.aliased_by.base.len() {
+            self.aliased_by.row(o.index())
+        } else {
+            &[]
+        }
     }
 
     /// Approximate heap bytes of the points-to, name and reverse-index
@@ -285,36 +286,41 @@ impl AnalysisDb {
             + self.obj_names.iter().map(String::capacity).sum::<usize>()
             + self.var_names.capacity() * std::mem::size_of::<(String, String)>()
             + self.obj_names.capacity() * std::mem::size_of::<String>();
-        let index: usize = self
-            .aliased_by
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<VarId>())
-            .sum::<usize>()
-            + self.aliased_by.capacity() * std::mem::size_of::<Vec<VarId>>();
+        let index = self.aliased_by.base.capacity() * std::mem::size_of::<u32>()
+            + self.aliased_by.items.capacity() * std::mem::size_of::<VarId>();
         self.result.pts_bytes() + names + index
     }
 
     // ---- serialization ----------------------------------------------------
 
-    /// Serializes to the versioned, checksummed snapshot format.
+    /// Serializes to the versioned, checksummed snapshot format, in one
+    /// buffer sized exactly up front: the sets and handle tables are
+    /// written straight from the result, and the checksum is sealed into
+    /// the header in place once the payload is written.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let payload = self.payload_len();
+        let mut w = Writer::with_capacity(HEADER + payload);
+        w.put_u64(u64::from_le_bytes(MAGIC));
+        w.put_u32(FORMAT_VERSION);
+        w.put_u64(payload as u64);
+        // The checksum, sealed once the payload is written.
+        w.put_u64(0);
         // Pool set table, in stable handle order.
         let pool = self.result.pool();
         w.put_u32(u32::try_from(pool.set_count()).expect("pool too large"));
         for set in pool.sets() {
-            let raw: Vec<u32> = set.iter().map(MemId::raw).collect();
-            w.put_u32s(&raw);
+            w.put_u32(set.len() as u32);
+            for m in set.iter() {
+                w.put_u32(m.raw());
+            }
         }
         // Handle tables.
-        let to_raw =
-            |rs: &[fsam_pts::PtsRef]| -> Vec<u32> { rs.iter().map(|r| r.index() as u32).collect() };
-        w.put_u32s(&to_raw(self.result.var_handles()));
+        let raw = |r: &PtsRef| r.index() as u32;
+        w.put_u32s(self.result.var_handles().iter().map(raw));
         let (slot_base, slot_obj, slot_out) = self.result.slot_tables();
-        w.put_u32s(slot_base);
-        let obj_raw: Vec<u32> = slot_obj.iter().map(|&m| m.raw()).collect();
-        w.put_u32s(&obj_raw);
-        w.put_u32s(&to_raw(slot_out));
+        w.put_u32s(slot_base.iter().copied());
+        w.put_u32s(slot_obj.iter().map(|m| m.raw()));
+        w.put_u32s(slot_out.iter().map(raw));
         // Statistics.
         let s = &self.result.stats;
         for v in [
@@ -345,20 +351,42 @@ impl AnalysisDb {
             w.put_str(name);
         }
 
-        let payload = w.finish();
-        let mut out = Vec::with_capacity(28 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = w.finish();
+        debug_assert_eq!(out.len(), HEADER + payload, "payload_len is exact");
+        let checksum = fnv1a(&out[HEADER..]);
+        out[20..HEADER].copy_from_slice(&checksum.to_le_bytes());
         out
+    }
+
+    /// The payload bytes [`to_bytes`](AnalysisDb::to_bytes) writes.
+    fn payload_len(&self) -> usize {
+        let table = |n: usize| 4 + 4 * n;
+        let relation =
+            |rel: &RegionRelation| table(rel.region_map().len()) + 4 + 8 * rel.bit_words().len();
+        let (slot_base, slot_obj, slot_out) = self.result.slot_tables();
+        let sets: usize = self.result.pool().sets().map(|s| table(s.len())).sum();
+        let var_names: usize = (self.var_names.iter())
+            .map(|(f, v)| 8 + f.len() + v.len())
+            .sum();
+        let obj_names: usize = self.obj_names.iter().map(|n| 4 + n.len()).sum();
+        4 + sets
+            + table(self.result.var_handles().len())
+            + table(slot_base.len())
+            + table(slot_obj.len())
+            + table(slot_out.len())
+            + 8 * 8
+            + relation(&self.mhp)
+            + relation(&self.hb)
+            + 8
+            + 4
+            + var_names
+            + 4
+            + obj_names
     }
 
     /// Deserializes and re-validates a snapshot produced by
     /// [`to_bytes`](AnalysisDb::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<AnalysisDb, SnapshotError> {
-        const HEADER: usize = 28; // magic 8 + version 4 + len 8 + checksum 8
         if bytes.len() < HEADER {
             return Err(SnapshotError::Length {
                 expected: HEADER as u64,
@@ -394,28 +422,20 @@ impl AnalysisDb {
         let set_count = r.read_count(4)?;
         let mut sets = Vec::with_capacity(set_count);
         for _ in 0..set_count {
-            let members = r.u32s()?;
-            sets.push(members.into_iter().map(MemId::new).collect::<PtsSet>());
+            let members = r.read_count(4)?;
+            let mut set = PtsSet::new();
+            for _ in 0..members {
+                set.insert(MemId::new(r.u32()?));
+            }
+            sets.push(set);
         }
-        let pool = PtsPool::from_sets(sets).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
+        let pool =
+            PtsPool::from_sets(&sets).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
         // Handle tables.
-        let handles =
-            |raw: Vec<u32>, pool: &PtsPool| -> Result<Vec<fsam_pts::PtsRef>, SnapshotError> {
-                raw.into_iter()
-                    .map(|i| {
-                        pool.handle(i as usize).ok_or_else(|| {
-                            SnapshotError::Malformed(format!(
-                                "handle p{i} out of range ({} sets)",
-                                pool.set_count()
-                            ))
-                        })
-                    })
-                    .collect()
-            };
-        let pt_vars = handles(r.u32s()?, &pool)?;
+        let pt_vars = read_handles(&mut r, &pool)?;
         let slot_base = r.u32s()?;
         let slot_obj: Vec<MemId> = r.u32s()?.into_iter().map(MemId::new).collect();
-        let slot_out = handles(r.u32s()?, &pool)?;
+        let slot_out = read_handles(&mut r, &pool)?;
         // Statistics.
         let mut stat = || -> Result<usize, SnapshotError> {
             usize::try_from(r.u64()?).map_err(|_| {
@@ -497,11 +517,61 @@ pub(crate) fn name_order(names: &[(String, String)]) -> Vec<u32> {
     order
 }
 
+/// The `aliased_by` table: row `o` lists the variables whose set holds
+/// object `o`, ascending. The rows are counted per distinct set, weighted
+/// by how many variables hold it (far fewer members than the table has
+/// entries), and then filled in one pass over the variables.
+fn reverse_index(result: &SparseResult, objects: usize) -> Csr<VarId> {
+    let (pool, vars) = (result.pool(), result.var_handles());
+    let mut holders = vec![0u32; pool.set_count()];
+    for r in vars {
+        holders[r.index()] += 1;
+    }
+    let mut base = vec![0u32; objects + 1];
+    for (set, &n) in pool.sets().zip(&holders).filter(|&(_, &n)| n > 0) {
+        for m in set.iter() {
+            base[m.index() + 1] += n;
+        }
+    }
+    for o in 0..objects {
+        base[o + 1] += base[o];
+    }
+    // `base[o]` is row `o`'s fill cursor and ends at row `o + 1`'s start;
+    // shifting the table one row up restores the starts.
+    let mut items = vec![VarId::from_usize(0); base[objects] as usize];
+    for (i, r) in vars.iter().enumerate() {
+        for m in pool.get(*r).iter() {
+            let at = &mut base[m.index()];
+            items[*at as usize] = VarId::from_usize(i);
+            *at += 1;
+        }
+    }
+    base.copy_within(..objects, 1);
+    base[0] = 0;
+    Csr { base, items }
+}
+
+/// Reads a count-prefixed table of handles into `pool`, each validated.
+fn read_handles(r: &mut Reader<'_>, pool: &PtsPool) -> Result<Vec<PtsRef>, SnapshotError> {
+    let count = r.read_count(4)?;
+    let mut handles = Vec::with_capacity(count);
+    for _ in 0..count {
+        let i = r.u32()?;
+        handles.push(pool.handle(i as usize).ok_or_else(|| {
+            SnapshotError::Malformed(format!(
+                "handle p{i} out of range ({} sets)",
+                pool.set_count()
+            ))
+        })?);
+    }
+    Ok(handles)
+}
+
 /// Writes a region relation: its dense statement → region map, its region
 /// count and its row-major bitmatrix words (the row width is derived from
 /// the region count on load, never stored).
 fn put_relation(w: &mut Writer, rel: &RegionRelation) {
-    w.put_u32s(rel.region_map());
+    w.put_u32s(rel.region_map().iter().copied());
     w.put_u32(u32::try_from(rel.region_count()).expect("too many regions"));
     for &word in rel.bit_words() {
         w.put_u64(word);

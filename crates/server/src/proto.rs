@@ -332,8 +332,7 @@ fn put_answer(w: &mut Writer, a: &Answer) {
     match a {
         Answer::Objects(objs) => {
             w.put_u8(0);
-            let raw: Vec<u32> = objs.iter().map(|m| m.raw()).collect();
-            w.put_u32s(&raw);
+            w.put_u32s(objs.iter().map(|m| m.raw()));
         }
         Answer::Bool(b) => {
             w.put_u8(1);
@@ -341,8 +340,7 @@ fn put_answer(w: &mut Writer, a: &Answer) {
         }
         Answer::Vars(vars) => {
             w.put_u8(2);
-            let raw: Vec<u32> = vars.iter().map(|v| v.raw()).collect();
-            w.put_u32s(&raw);
+            w.put_u32s(vars.iter().map(|v| v.raw()));
         }
     }
 }

@@ -1,15 +1,19 @@
-//! Allocation guards for the sparse solve, the pre-analysis and the FIR parse.
+//! Allocation guards for the sparse solve, the snapshot encoder, the
+//! pre-analysis and the FIR parse.
 //!
 //! The solver keeps every set it works with — values, pending deltas and
-//! fresh deltas — as a handle into its hash-consed pool, walks the slot
-//! tables the SVFG carries, and keeps each variable's sources and
-//! dependencies in one counted table, so a solve allocates a few thousand
-//! times per thousand worklist items instead of once per delta.
+//! fresh deltas — as a handle into its hash-consed pool, builds every
+//! intermediate set (a difference, a Gep's fields, a pulled input, a
+//! recompute) in reused scratch, and the pool copies a set only when it
+//! keeps it; the solver walks the slot tables the SVFG carries and keeps
+//! each variable's sources and dependencies in one counted table, so a
+//! solve allocates about once per set it keeps.
 //! These pins are the measured allocation count and bytes of one
 //! `solver::solve` call, times about 1.25; a change that brings back owned
 //! per-delta sets or tables regrown by doubling blows through them (before
 //! the pool carried deltas, x264 @ 0.32 made 244,492 allocations and
-//! 20.66 MiB in its solve). The first graph measured here was already
+//! 20.66 MiB in its solve; before intermediate sets were built in scratch,
+//! 47,555 and 8.04 MiB). The first graph measured here was already
 //! solved once by the pipeline, so its slot tables are laid out and those
 //! pins count the solve state alone; a second pin solves a fresh copy, as
 //! a pipeline run does, and so counts the slot-table layout too.
@@ -38,6 +42,7 @@ use fsam_andersen::PreAnalysis;
 use fsam_ir::parse::parse_module;
 use fsam_ir::print::module_to_string;
 use fsam_mssa::Svfg;
+use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale};
 use fsam_threads::valueflow;
 
@@ -126,26 +131,26 @@ fn check(program: Program, max_allocs: u64, max_mib: f64) {
     check_pins(&what, solve_allocations(program), max_allocs, max_mib);
 }
 
-/// Measured 10,362 allocations and 1.61 MiB.
+/// Measured 1,495 allocations and 1.17 MiB.
 #[test]
 fn httpd_server_solve_allocations_stay_under_pins() {
-    check(Program::HttpdServer, 12_950, 2.0);
+    check(Program::HttpdServer, 1_870, 1.47);
 }
 
-/// Measured 47,555 allocations and 8.04 MiB.
+/// Measured 4,777 allocations and 5.06 MiB.
 #[test]
 fn x264_solve_allocations_stay_under_pins() {
     if cfg!(debug_assertions) {
         eprintln!("the x264 @ 0.32 allocation pins run in release builds only");
         return;
     }
-    check(Program::X264, 59_400, 10.1);
+    check(Program::X264, 5_980, 6.33);
 }
 
 /// A pipeline run clones its cached thread-oblivious graph, inserts the
 /// thread-aware edges and solves over the copy, whose slot tables are laid
 /// out inside the solve; this pins that solve, layout included. Measured
-/// 47,666 allocations and 11.45 MiB.
+/// 4,880 allocations and 8.44 MiB.
 #[test]
 fn x264_solve_on_a_fresh_graph_stays_under_pins() {
     if cfg!(debug_assertions) {
@@ -173,9 +178,30 @@ fn x264_solve_on_a_fresh_graph_stays_under_pins() {
     check_pins(
         "x264 @ 0.32 solve on a fresh graph",
         (allocs, bytes),
-        59_600,
-        14.3,
+        6_100,
+        10.55,
     );
+}
+
+/// Encoding the snapshot of x264 @ 0.32: the encoder sizes its buffer
+/// exactly and writes the sets and tables straight from the result, so
+/// it makes one allocation, of exactly the snapshot's bytes. The encoder
+/// that built the payload in a growable buffer, with a temporary per set
+/// and per table, and then copied it behind the header made 1,039
+/// allocations and 2.83 MiB.
+#[test]
+fn x264_snapshot_encode_is_one_exact_allocation() {
+    if cfg!(debug_assertions) {
+        eprintln!("the x264 @ 0.32 allocation pins run in release builds only");
+        return;
+    }
+    let module = Program::X264.generate(Scale(0.32));
+    let db = AnalysisDb::capture(&module, &Fsam::analyze(&module));
+    let (bytes, allocs, total) = counted(|| db.to_bytes());
+    println!("x264 @ 0.32 encode: {allocs} allocations, {total} bytes");
+    assert_eq!(bytes.len(), 559_725);
+    assert_eq!(bytes.capacity(), bytes.len());
+    assert_eq!((allocs, total), (1, bytes.len() as u64));
 }
 
 /// The thread-oblivious SVFG of x264 @ 0.32 and the thread-aware edges a

@@ -65,7 +65,7 @@ use fsam_ir::print::module_to_string;
 use fsam_ir::stmt::StmtKind;
 use fsam_ir::Module;
 use fsam_mssa::Svfg;
-use fsam_pts::{MemKind, PtsPool, PtsSet};
+use fsam_pts::{MemKind, PtsSet};
 use fsam_query::AnalysisDb;
 use fsam_suite::{Program, Scale, SyncProgram};
 
@@ -96,7 +96,7 @@ fn checksum_row(label: &str, module: &Module, fsam: &Fsam) -> String {
     let r = db.result();
     let (slot_base, slot_obj, slot_out) = r.slot_tables();
     let result = SparseResult::from_tables(
-        PtsPool::from_sets(r.pool().sets().cloned()).expect("a captured pool is canonical"),
+        r.pool().clone(),
         r.var_handles().to_vec(),
         slot_base.to_vec(),
         slot_obj.to_vec(),
